@@ -140,8 +140,8 @@ class ColumnAssociativeCache(SetAssociativeCache):
     def access(self, word_address: int, *, write: bool = False):
         line = self.line_of(word_address)
         set_index = self.set_of(line)
-        way = self._where[set_index].get(line)
-        if way == 1:
+        resident = self._sets.get(set_index)
+        if resident is not None and resident.get(line) == 1:
             # resident in the rehash slot: the first probe missed
             self.rehash_probes += 1
         return super().access(word_address, write=write)

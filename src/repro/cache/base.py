@@ -212,10 +212,14 @@ class Cache(ABC):
             count=lines.size,
         )
 
-    def _replay_premapped_arrays(self, lines, sets, want_hits: bool):
+    def _replay_premapped_arrays(self, lines, sets, want_hits: bool,
+                                 backend: str):
         """Closed-form replay of a read-only pre-mapped batch, if possible.
 
-        ``lines``/``sets`` are int64 arrays.  Returns ``(hits, misses,
+        ``lines``/``sets`` are int64 arrays; ``backend`` is the caller's
+        resolved engine (``"numpy"``, or ``"compiled"`` when this
+        organisation has no kernel form of its own), for organisations
+        that delegate to inner caches.  Returns ``(hits, misses,
         evictions, kind_counts, hits_array)`` — ``hits_array`` may be
         ``None`` when ``want_hits`` is false — or ``None`` when no
         vectorised replay applies, in which case :meth:`access_many`
@@ -403,7 +407,9 @@ class Cache(ABC):
             else:
                 sets = self._map_sets_batch(lines)
                 replay = (
-                    self._replay_premapped_arrays(lines, sets, return_hits)
+                    self._replay_premapped_arrays(
+                        lines, sets, return_hits, backend
+                    )
                     if writes_list is None and kinds_out is None else None
                 )
                 if replay is not None:

@@ -211,13 +211,14 @@ class BicameralCache(Cache):
 
     # -- block-granular fast path --------------------------------------------
 
-    def _replay_premapped_arrays(self, lines, sets, want_hits: bool):
+    def _replay_premapped_arrays(self, lines, sets, want_hits: bool,
+                                 backend: str):
         # Split the read-only batch by half and hand each subsequence to
-        # that half's own batched engine (closed-form one-way replay or
-        # its fallbacks).  The halves share no state, so replaying them
-        # one after the other is bit-for-bit the interleaved sequential
-        # replay.  The halves' own ``stats`` see only batches routed this
-        # way — per-half metrics come from :meth:`vector_mask` instead.
+        # that half's own batched engine on the caller's backend.  The
+        # halves share no state, so replaying them one after the other is
+        # bit-for-bit the interleaved sequential replay.  The halves' own
+        # ``stats`` see only batches routed this way — per-half metrics
+        # come from :meth:`vector_mask` instead.
         if self._classifier is not None:
             return None
         mask = sets >= self.boundary
@@ -227,7 +228,8 @@ class BicameralCache(Cache):
         for half, side in ((self.scalar, scalar_side), (self.vector, mask)):
             if not side.any():
                 continue
-            batch = half.access_many(lines[side], return_hits=want_hits)
+            batch = half.access_many(lines[side], return_hits=want_hits,
+                                     backend=backend)
             hit_count += batch.delta.hits
             miss_count += batch.delta.misses
             evictions += batch.delta.evictions

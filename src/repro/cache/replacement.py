@@ -6,8 +6,17 @@ dictates against LRU replacement" (Stone).  To let the benchmarks test that
 claim rather than assume it, the set-associative model accepts pluggable
 policies: LRU, FIFO, and seeded-random.
 
-A policy manages per-set bookkeeping only; the cache owns tags and data.
-Ways are identified by their integer position within the set.
+A policy keeps no per-set state of its own.  The cache holds each set as a
+``line -> way`` dict whose insertion order *is* the set's recency order:
+every fill appends its line at the end, LRU moves a hit line back to the
+end, and LRU and FIFO both evict the first entry.  Each of those steps is
+a fixed number of dict operations whatever the associativity.
+
+Ways are the integer positions within the set.  A fill always takes the
+lowest free way (see :mod:`repro.cache.set_assoc`).  Of the policies only
+random depends on that rule: it draws a way *index* from its generator,
+so which line that index names depends on where every earlier fill
+landed.
 """
 
 from __future__ import annotations
@@ -19,10 +28,11 @@ __all__ = ["ReplacementPolicy", "LRUPolicy", "FIFOPolicy", "RandomPolicy", "make
 
 
 class ReplacementPolicy(ABC):
-    """Per-set victim selection.
+    """Victim selection over one set's ``line -> way`` residency dict.
 
-    Subclasses keep whatever recency/insertion state they need, keyed by
-    set index.  ``num_ways`` is fixed at construction.
+    ``resident`` is the set's dict, oldest entry first; a policy may
+    reorder it on a hit and names the line to evict from a full set.
+    ``num_sets``/``num_ways`` are fixed at construction.
     """
 
     def __init__(self, num_sets: int, num_ways: int) -> None:
@@ -31,89 +41,49 @@ class ReplacementPolicy(ABC):
         self.num_sets = num_sets
         self.num_ways = num_ways
 
-    @abstractmethod
-    def on_hit(self, set_index: int, way: int) -> None:
-        """A reference hit ``way`` of ``set_index``."""
+    def on_hit(self, resident: dict[int, int], line: int) -> None:
+        """A reference hit ``line`` of the set holding ``resident``."""
 
     @abstractmethod
-    def on_fill(self, set_index: int, way: int) -> None:
-        """``way`` of ``set_index`` was (re)filled with a new line."""
-
-    @abstractmethod
-    def victim(self, set_index: int) -> int:
-        """Pick the way to evict from a full set."""
+    def victim(self, resident: dict[int, int]) -> int:
+        """Pick the line to evict from a full set."""
 
     def reset(self) -> None:
-        """Drop all state (default implementation re-inits lazily)."""
+        """Return to the state at construction (the default keeps none)."""
 
 
 class LRUPolicy(ReplacementPolicy):
-    """Least-recently-used: evict the way touched longest ago."""
+    """Least-recently-used: evict the line touched longest ago."""
 
-    def __init__(self, num_sets: int, num_ways: int) -> None:
-        super().__init__(num_sets, num_ways)
-        self._order: dict[int, list[int]] = {}
+    def on_hit(self, resident: dict[int, int], line: int) -> None:
+        resident[line] = resident.pop(line)
 
-    def _stack(self, set_index: int) -> list[int]:
-        # Most-recent last; initialised so way 0 is the first victim.
-        return self._order.setdefault(set_index, list(range(self.num_ways - 1, -1, -1)))
-
-    def on_hit(self, set_index: int, way: int) -> None:
-        stack = self._stack(set_index)
-        stack.remove(way)
-        stack.append(way)
-
-    def on_fill(self, set_index: int, way: int) -> None:
-        self.on_hit(set_index, way)
-
-    def victim(self, set_index: int) -> int:
-        return self._stack(set_index)[0]
-
-    def reset(self) -> None:
-        self._order.clear()
+    def victim(self, resident: dict[int, int]) -> int:
+        return next(iter(resident))
 
 
 class FIFOPolicy(ReplacementPolicy):
-    """First-in-first-out: evict the way filled longest ago; hits don't matter."""
+    """First-in-first-out: evict the line filled longest ago; hits don't matter."""
 
-    def __init__(self, num_sets: int, num_ways: int) -> None:
-        super().__init__(num_sets, num_ways)
-        self._queue: dict[int, list[int]] = {}
-
-    def _fifo(self, set_index: int) -> list[int]:
-        return self._queue.setdefault(set_index, list(range(self.num_ways)))
-
-    def on_hit(self, set_index: int, way: int) -> None:
-        pass
-
-    def on_fill(self, set_index: int, way: int) -> None:
-        queue = self._fifo(set_index)
-        queue.remove(way)
-        queue.append(way)
-
-    def victim(self, set_index: int) -> int:
-        return self._fifo(set_index)[0]
-
-    def reset(self) -> None:
-        self._queue.clear()
+    def victim(self, resident: dict[int, int]) -> int:
+        return next(iter(resident))
 
 
 class RandomPolicy(ReplacementPolicy):
-    """Uniform-random victim with a seedable generator for reproducibility."""
+    """Uniform-random victim with a seedable generator for reproducibility.
+
+    The generator draws a way index; finding the line in that way searches
+    the set, so a random eviction costs O(ways).
+    """
 
     def __init__(self, num_sets: int, num_ways: int, seed: int = 0) -> None:
         super().__init__(num_sets, num_ways)
         self._rng = random.Random(seed)
         self._seed = seed
 
-    def on_hit(self, set_index: int, way: int) -> None:
-        pass
-
-    def on_fill(self, set_index: int, way: int) -> None:
-        pass
-
-    def victim(self, set_index: int) -> int:
-        return self._rng.randrange(self.num_ways)
+    def victim(self, resident: dict[int, int]) -> int:
+        way = self._rng.randrange(self.num_ways)
+        return next(line for line, w in resident.items() if w == way)
 
     def reset(self) -> None:
         self._rng = random.Random(self._seed)

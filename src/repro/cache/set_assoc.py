@@ -10,9 +10,35 @@ indexing that is exactly equivalent to storing the architectural tag field
 (index is a bit-slice, so line address == tag << c | index); for the prime
 cache it is equivalent up to one disambiguation bit — see
 :mod:`repro.cache.prime` for the accounting.
+
+Residency is kept so that construction, :meth:`~repro.cache.base.Cache.reset`
+and each access do the same Python work at any set count and
+associativity:
+
+* **Per-set state is built on first fill.**  A set gets its ``line -> way``
+  dict when its first line is installed; dirty lines are one cache-wide
+  set of line addresses.  A new or reset cache holds no per-set objects,
+  so neither construction nor reset walks the sets, and the batched
+  paths below walk only the sets that hold a line.
+* **LRU/FIFO recency is the dict's insertion order.**  A fill appends its
+  line, an LRU hit moves its line back to the end, and LRU and FIFO evict
+  the first entry (:mod:`repro.cache.replacement`).  No recency stack is
+  kept beside the dict.  Reaching the first entry skips the slots that
+  deletions left at the front of the dict until its next resize compacts
+  it, a C-level scan that grows with the associativity.
+* **A fill takes the lowest free way.**  Without invalidations a set's
+  lines hold ways ``0, 1, 2, ...``, so the free way is the set's line
+  count; a set where :meth:`~SetAssociativeCache.invalidate_line` left a
+  hole keeps a heap of its freed ways instead.  The rule is observable:
+  the random policy draws victim *way indices* (and searches the set for
+  the line in that way, its one O(ways) step), the column-associative
+  cache counts hits by way, and the compiled kernels fill the lowest
+  empty way, so every engine must agree on where each line sits.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -82,10 +108,13 @@ class SetAssociativeCache(Cache):
         if policy.num_sets != num_sets or policy.num_ways != num_ways:
             raise ValueError("policy geometry does not match the cache")
         self.policy = policy
-        # per-set: way -> line address; inverse: line -> way, for O(1) lookup
-        self._ways: list[dict[int, int]] = [dict() for _ in range(num_sets)]
-        self._where: list[dict[int, int]] = [dict() for _ in range(num_sets)]
-        self._dirty: list[set[int]] = [set() for _ in range(num_sets)]
+        # set index -> {line: way}, oldest entry first; only filled sets
+        self._sets: dict[int, dict[int, int]] = {}
+        # dirty resident lines (a line lives in exactly one set)
+        self._dirty: set[int] = set()
+        # set index -> min-heap of ways invalidate_line freed below the
+        # set's highest filled way; only sets with such holes appear
+        self._holes: dict[int, list[int]] = {}
         # One-way batched replay keeps residency in a numpy mirror
         # (resident line per set, -1 empty, plus a dirty bitmap) so whole
         # batches never touch the per-set dicts.  ``_mirror_ok`` marks the
@@ -118,15 +147,13 @@ class SetAssociativeCache(Cache):
             self._mirror = np.full(self.num_sets, -1, dtype=np.int64)
             self._mirror_dirty = np.zeros(self.num_sets, dtype=bool)
         if not self._mirror_ok:
-            mirror = self._mirror
+            mirror, mirror_dirty = self._mirror, self._mirror_dirty
             mirror.fill(-1)
-            self._mirror_dirty.fill(False)
-            for set_index, ways in enumerate(self._ways):
-                if ways:
-                    mirror[set_index] = ways[0]
-            for set_index, dirty_ways in enumerate(self._dirty):
-                if dirty_ways:
-                    self._mirror_dirty[set_index] = True
+            mirror_dirty.fill(False)
+            for set_index, resident in self._sets.items():
+                for line in resident:
+                    mirror[set_index] = line
+                    mirror_dirty[set_index] = line in self._dirty
             self._mirror_ok = True
         return self._mirror
 
@@ -136,21 +163,17 @@ class SetAssociativeCache(Cache):
         if not self._dicts_stale:
             return
         self._dicts_stale = False
-        resident = np.flatnonzero(self._mirror >= 0)
-        lines = self._mirror[resident]
-        ways_all, where_all, dirty_all = self._ways, self._where, self._dirty
-        for i in range(self.num_sets):
-            if ways_all[i]:
-                ways_all[i] = {}
-                where_all[i] = {}
-                dirty_all[i] = set()
-        for s, line in zip(resident.tolist(), lines.tolist()):
-            ways_all[s] = {0: line}
-            where_all[s] = {line: 0}
-        for s in np.flatnonzero(self._mirror_dirty).tolist():
-            dirty_all[s] = {0}
+        mirror = self._mirror
+        resident = np.flatnonzero(mirror >= 0)
+        self._sets = {
+            set_index: {line: 0}
+            for set_index, line in zip(resident.tolist(),
+                                       mirror[resident].tolist())
+        }
+        self._dirty = set(mirror[self._mirror_dirty].tolist())
 
-    def _replay_premapped_arrays(self, lines, sets, want_hits: bool):
+    def _replay_premapped_arrays(self, lines, sets, want_hits: bool,
+                                 backend: str):
         # Read-only one-way replay in closed form: with a single way and
         # no classifier, the set's content before access i is simply the
         # line of the most recent earlier access to the same set (every
@@ -263,148 +286,118 @@ class SetAssociativeCache(Cache):
             if m or writes is not None:
                 self._dicts_stale = True
             return h, m, e, hits_arr
-        # N-way: flatten dicts + policy stacks into [set, way] arrays
-        # (stamp = stack position + 1, so minimum stamp == stack front ==
-        # the policy victim), run the kernel, then write everything back.
-        self._sync_dicts()
-        num_ways = self.num_ways
-        tags = np.full(self.num_sets * num_ways, -1, dtype=np.int64)
-        stamps = np.zeros(self.num_sets * num_ways, dtype=np.int64)
-        dirty = np.zeros(self.num_sets * num_ways, dtype=np.uint8)
-        stacks = self.policy._order if lru else self.policy._queue
-        init_stack = (
-            list(range(num_ways - 1, -1, -1)) if lru
-            else list(range(num_ways))
-        )
-        for s in range(self.num_sets):
-            base = s * num_ways
-            for w, line in self._ways[s].items():
-                tags[base + w] = line
-            for w in self._dirty[s]:
-                dirty[base + w] = 1
-            for pos, w in enumerate(stacks.get(s, init_stack)):
-                stamps[base + w] = pos + 1
+        # N-way: flatten the filled sets into [set, way] arrays (stamp =
+        # position in the set's dict + 1, so the minimum stamp is the
+        # first entry == the policy victim), run the kernel, then rebuild
+        # the dicts of every set that holds a line afterwards.
+        num_sets, num_ways = self.num_sets, self.num_ways
+        tags = np.full(num_sets * num_ways, -1, dtype=np.int64)
+        stamps = np.zeros(num_sets * num_ways, dtype=np.int64)
+        dirty = np.zeros(num_sets * num_ways, dtype=np.uint8)
+        slots: list[int] = []
+        resident_lines: list[int] = []
+        positions: list[int] = []
+        for set_index, resident in self._sets.items():
+            base = set_index * num_ways
+            for pos, (line, way) in enumerate(resident.items(), 1):
+                slots.append(base + way)
+                resident_lines.append(line)
+                positions.append(pos)
+        tags[slots] = resident_lines
+        stamps[slots] = positions
+        dirty[slots] = [line in self._dirty for line in resident_lines]
         h, m, e, _ = kernels.replay_assoc(
             lines, writes, set_mode, set_param, num_ways,
             self.write_allocate, lru, num_ways + 1,
             tags, stamps, dirty, hits_arr,
         )
-        self._mirror_ok = False
-        # A stable sort of the stamps recovers each set's stack: untouched
-        # ways keep their old relative order (small build stamps), touched
-        # ways follow in reference order (monotonic kernel ticks).
+        # Sorting a set's ways by stamp recovers its recency order:
+        # untouched lines keep their small build stamps, touched ones
+        # carry the kernel's monotonic ticks above them.
+        grid = tags.reshape(num_sets, num_ways)
+        filled = np.flatnonzero((grid >= 0).any(axis=1))
         order = np.argsort(
-            stamps.reshape(self.num_sets, num_ways), axis=1, kind="stable"
+            stamps.reshape(num_sets, num_ways)[filled], axis=1, kind="stable"
         )
-        tags_list = tags.tolist()
-        dirty_list = dirty.tolist()
-        for s in range(self.num_sets):
-            base = s * num_ways
-            ways: dict[int, int] = {}
-            where: dict[int, int] = {}
-            dirty_ways: set[int] = set()
-            for w in range(num_ways):
-                line = tags_list[base + w]
-                if line >= 0:
-                    ways[w] = line
-                    where[line] = w
-                if dirty_list[base + w]:
-                    dirty_ways.add(w)
-            self._ways[s] = ways
-            self._where[s] = where
-            self._dirty[s] = dirty_ways
-            stacks[s] = order[s].tolist()
+        self._sets = {
+            set_index: {row[w]: w for w in ways if row[w] >= 0}
+            for set_index, ways, row in zip(
+                filled.tolist(), order.tolist(), grid[filled].tolist()
+            )
+        }
+        self._dirty = set(tags[dirty != 0].tolist())
+        # The kernel also fills the lowest empty way, so a freed way is
+        # still a hole exactly when the kernel left it empty.
+        holes = {}
+        for set_index, heap in self._holes.items():
+            free = sorted(w for w in heap if grid[set_index, w] < 0)
+            if free:
+                holes[set_index] = free
+        self._holes = holes
         return h, m, e, hits_arr
 
     def _replay_premapped(self, lines, sets, writes, hits_out, kinds_out):
-        self._sync_dicts()
         # Direct-mapped fast path: with one way, no classifier and a
         # deterministic (state-inert at 1 way) replacement policy, the
         # whole access state machine collapses to "is the set's current
-        # line this line" — run it over plain lists with no method calls.
+        # line this line" — run it over plain lists drawn from the numpy
+        # mirror, which it leaves current like the other one-way paths.
         if (
             self.num_ways != 1
             or self._classifier is not None
             or kinds_out is not None
             or not isinstance(self.policy, (LRUPolicy, FIFOPolicy))
         ):
+            self._sync_dicts()
             return super()._replay_premapped(
                 lines, sets, writes, hits_out, kinds_out
             )
-        current = [-1] * self.num_sets
-        dirty = bytearray(self.num_sets)
-        for set_index, ways in enumerate(self._ways):
-            if ways:
-                current[set_index] = ways[0]
-        for set_index, dirty_ways in enumerate(self._dirty):
-            if dirty_ways:
-                dirty[set_index] = 1
+        mirror = self._load_mirror()
+        current = mirror.tolist()
+        dirty = self._mirror_dirty.tolist()
         hit_count = miss_count = evictions = 0
-        if writes is None and hits_out is None:
-            for line, set_index in zip(lines, sets):
-                if current[set_index] == line:
-                    hit_count += 1
-                else:
-                    miss_count += 1
+        write_allocate = self.write_allocate
+        append = hits_out.append if hits_out is not None else None
+        for i in range(len(lines)):
+            line = lines[i]
+            set_index = sets[i]
+            write = writes is not None and writes[i]
+            if current[set_index] == line:
+                hit_count += 1
+                if write:
+                    dirty[set_index] = True
+                if append is not None:
+                    append(True)
+            else:
+                miss_count += 1
+                if not write or write_allocate:
                     if current[set_index] >= 0:
                         evictions += 1
                     current[set_index] = line
-                    dirty[set_index] = 0
-        else:
-            write_allocate = self.write_allocate
-            append = hits_out.append if hits_out is not None else None
-            for i in range(len(lines)):
-                line = lines[i]
-                set_index = sets[i]
-                write = writes is not None and writes[i]
-                if current[set_index] == line:
-                    hit_count += 1
-                    if write:
-                        dirty[set_index] = 1
-                    if append is not None:
-                        append(True)
-                else:
-                    miss_count += 1
-                    if not write or write_allocate:
-                        if current[set_index] >= 0:
-                            evictions += 1
-                        current[set_index] = line
-                        dirty[set_index] = 1 if write else 0
-                    if append is not None:
-                        append(False)
-        # Write the final residency back into the canonical per-set
-        # structures so later scalar accesses observe the same state.
-        self._mirror_ok = False
-        for set_index in set(sets):
-            line = current[set_index]
-            ways = self._ways[set_index]
-            where = self._where[set_index]
-            dirty_ways = self._dirty[set_index]
-            ways.clear()
-            where.clear()
-            dirty_ways.clear()
-            if line >= 0:
-                ways[0] = line
-                where[line] = 0
-                if dirty[set_index]:
-                    dirty_ways.add(0)
+                    dirty[set_index] = write
+                if append is not None:
+                    append(False)
+        touched = list(set(sets))
+        mirror[touched] = [current[s] for s in touched]
+        self._mirror_dirty[touched] = [dirty[s] for s in touched]
+        self._dicts_stale = True
         return hit_count, miss_count, evictions, dict(_ZERO_KINDS)
 
     def _lookup(self, line_address: int, set_index: int) -> bool:
         if self._dicts_stale:
             self._sync_dicts()
-        return line_address in self._where[set_index]
+        return line_address in self._sets.get(set_index, ())
 
     def _touch(self, line_address: int, set_index: int) -> None:
         if self._dicts_stale:
             self._sync_dicts()
-        self.policy.on_hit(set_index, self._where[set_index][line_address])
+        self.policy.on_hit(self._sets[set_index], line_address)
 
     def _mark_dirty(self, line_address: int, set_index: int) -> None:
         if self._dicts_stale:
             self._sync_dicts()
         self._mirror_ok = False
-        self._dirty[set_index].add(self._where[set_index][line_address])
+        self._dirty.add(line_address)
 
     def _fill(
         self, line_address: int, set_index: int, dirty: bool
@@ -412,21 +405,27 @@ class SetAssociativeCache(Cache):
         if self._dicts_stale:
             self._sync_dicts()
         self._mirror_ok = False
-        ways = self._ways[set_index]
-        if len(ways) < self.num_ways:
-            way = next(w for w in range(self.num_ways) if w not in ways)
+        resident = self._sets.get(set_index)
+        if resident is None:
+            resident = self._sets[set_index] = {}
+        if len(resident) < self.num_ways:
+            holes = self._holes.get(set_index) if self._holes else None
+            if holes is None:
+                way = len(resident)
+            else:
+                way = heapq.heappop(holes)
+                if not holes:
+                    del self._holes[set_index]
             victim, victim_dirty = None, False
         else:
-            way = self.policy.victim(set_index)
-            victim = ways[way]
-            victim_dirty = way in self._dirty[set_index]
-            del self._where[set_index][victim]
-            self._dirty[set_index].discard(way)
-        ways[way] = line_address
-        self._where[set_index][line_address] = way
+            victim = self.policy.victim(resident)
+            way = resident.pop(victim)
+            victim_dirty = victim in self._dirty
+            if victim_dirty:
+                self._dirty.remove(victim)
+        resident[line_address] = way
         if dirty:
-            self._dirty[set_index].add(way)
-        self.policy.on_fill(set_index, way)
+            self._dirty.add(line_address)
         return victim, victim_dirty
 
     def invalidate_line(self, line_address: int) -> bool:
@@ -434,40 +433,37 @@ class SetAssociativeCache(Cache):
 
         The back-invalidation hook of inclusive hierarchies: when an
         outer level evicts a line, the inner level must drop its copy.
-        The freed way simply becomes available to the next fill; the
-        replacement stack keeps its (now meaningless) position for it,
-        which :meth:`_fill`'s free-way path never consults.
+        The freed way is free again: unless it was the top way of a set
+        without holes (or the set is now empty), it joins the set's heap
+        of holes, which :meth:`_fill` hands out lowest first.
         """
         if self._dicts_stale:
             self._sync_dicts()
         set_index = self.set_of(line_address)
-        way = self._where[set_index].pop(line_address, None)
-        if way is None:
+        resident = self._sets.get(set_index)
+        if resident is None or line_address not in resident:
             return False
         self._mirror_ok = False
-        del self._ways[set_index][way]
-        was_dirty = way in self._dirty[set_index]
-        self._dirty[set_index].discard(way)
+        way = resident.pop(line_address)
+        if not resident:
+            self._holes.pop(set_index, None)
+        elif way != len(resident) or set_index in self._holes:
+            heapq.heappush(self._holes.setdefault(set_index, []), way)
+        was_dirty = line_address in self._dirty
+        self._dirty.discard(line_address)
         return was_dirty
 
     def resident_lines(self) -> set[int]:
         if self._dicts_stale:
             self._sync_dicts()
-        resident: set[int] = set()
-        for where in self._where:
-            resident.update(where)
-        return resident
+        return {line for resident in self._sets.values() for line in resident}
 
     def invalidate_all(self) -> None:
+        self._sets.clear()
+        self._dirty.clear()
+        self._holes.clear()
         self._dicts_stale = False
-        for i in range(self.num_sets):
-            self._ways[i].clear()
-            self._where[i].clear()
-            self._dirty[i].clear()
-        if self._mirror is not None:
-            self._mirror.fill(-1)
-            self._mirror_dirty.fill(False)
-            self._mirror_ok = True
+        self._mirror_ok = False
         self.policy.reset()
 
     def describe(self) -> str:

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.cache import (
     BicameralCache,
     DirectMappedCache,
@@ -193,6 +194,34 @@ class TestBicameral:
         assert results["direct"] == 0  # stride 8 == 2^c pins one set
         assert results["prime"] == 7   # second sweep all-hit
 
+
+    @pytest.mark.parametrize("backend, default, kernel_calls", [
+        ("compiled", None, 2),        # one one-way kernel call per half
+        ("numpy", "compiled", 0),     # the caller's choice beats the default
+    ])
+    def test_halves_replay_on_the_callers_backend(
+        self, monkeypatch, backend, default, kernel_calls
+    ):
+        calls = []
+        original = kernels.replay_oneway
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(kernels, "replay_oneway", spy)
+        cache = BicameralCache(scalar_sets=16, vector_c=5,
+                               classify_misses=False)
+        cache.mark_vector(1 << 20, 1 << 21)
+        addresses = np.concatenate([np.arange(64),
+                                    (1 << 20) + 5 * np.arange(64)])
+        kernels.set_default_backend(default)
+        try:
+            batch = cache.access_many(addresses, backend=backend)
+        finally:
+            kernels.set_default_backend(None)
+        assert len(calls) == kernel_calls
+        assert batch.delta.misses == 128
 
 class TestTwoLevel:
     def test_capacity_ordering_enforced(self):
