@@ -8,10 +8,11 @@ full-reuse Figure-7 operating point (B = R = 1024, ``t_m = 32``, M = 64,
 reports agree exactly, and records the simulated-cycles-per-second ratio
 in ``BENCH_machine.json`` at the repo root.
 
-The op stream is synthesized once per machine by a seeded
-:class:`~repro.machine.vcm_driver.VCMDriver` (the draws depend only on
-the seed, never on machine timing) and replayed from a list, so the
-measurement isolates the timing engine from workload generation.
+The op stream is synthesized once per machine from the block streams of
+a seeded :class:`~repro.machine.vcm_driver.VCMDriver` (the draws depend
+only on the seed, never on machine timing) and replayed from lists, one
+``execute`` call per block as the driver issues them, so the measurement
+isolates the timing engine from workload generation.
 
 The acceptance bar is a >= 10x cycles/sec speedup on every machine.
 Runable standalone (``python benchmarks/bench_machine_throughput.py``)
@@ -64,37 +65,27 @@ def _report_tuple(report):
             report.cache_hits, report.cache_misses)
 
 
-def _synthesize_blocks(factory) -> list[list[tuple[bool, list]]]:
-    """Pre-draw the whole workload: per block, (first_sweep?, ops) pairs.
+def _synthesize_blocks(factory) -> list[list]:
+    """Pre-draw the whole workload: one op list per block.
 
     The driver's stride/base draws depend only on the RNG seed, so the
-    stream is identical for both timing paths and can be captured by
-    running the generator against a throwaway machine.
+    stream is identical for both timing paths and can be captured
+    without running any machine.
     """
     driver = VCMDriver(factory(True), seed=1)
     vcm = VCM(blocking_factor=BLOCK, reuse_factor=REUSE, p_ds=0.1)
-    blocks = []
-    for _ in range(BLOCKS):
-        base1 = driver._draw_base()
-        s1 = driver._draw_stride(vcm.s1, vcm.p_stride1_s1)
-        sweeps = []
-        for sweep in range(REUSE):
-            sweeps.append(
-                (sweep == 0,
-                 driver._sweep_ops(vcm, base1, s1, expect_cached=sweep > 0)))
-        blocks.append(sweeps)
-    return blocks
+    return [list(ops)
+            for ops in driver.block_streams(vcm, BLOCK * BLOCKS)]
 
 
 def _execute(machine, blocks):
     from repro.machine.report import ExecutionReport
 
     total = ExecutionReport()
-    for sweeps in blocks:
+    for ops in blocks:
         if isinstance(machine, CCMachine):
             machine.cache.invalidate_all()
-        for first_sweep, ops in sweeps:
-            total.merge(machine.execute(ops, add_loop_overhead=first_sweep))
+        total.merge(machine.execute(ops))
     return total
 
 

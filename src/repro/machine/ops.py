@@ -19,6 +19,7 @@ streams on the two read buses the way the hardware would.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,8 +61,18 @@ class VectorLoad:
         return [self.base + i * self.stride for i in range(self.length)]
 
     def address_array(self) -> np.ndarray:
-        """The element addresses as an int64 array, in issue order."""
-        return self.base + np.arange(self.length, dtype=np.int64) * self.stride
+        """The element addresses as a read-only int64 array, in issue order.
+
+        Built once per load: a blocked loop re-issues the same load in
+        every reuse sweep, so repeat executions share one array.
+        """
+        return self._address_array
+
+    @cached_property
+    def _address_array(self) -> np.ndarray:
+        array = self.base + np.arange(self.length, dtype=np.int64) * self.stride
+        array.flags.writeable = False
+        return array
 
 
 @dataclass(frozen=True)

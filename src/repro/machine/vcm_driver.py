@@ -82,66 +82,78 @@ class VCMDriver:
     def _draw_base(self) -> int:
         return self._rng.randrange(self.ADDRESS_SPACE)
 
-    # -- sweep synthesis -----------------------------------------------------------
+    # -- block synthesis -----------------------------------------------------------
 
-    def _sweep_ops(self, vcm: VCM, base1: int, s1: int, expect_cached: bool) -> list:
-        """One sweep over a block: single-stream pieces plus double accesses.
+    def block_streams(self, vcm: VCM, problem_size: int | None = None):
+        """Yield one lazy op stream per block of the workload.
 
-        ``s1`` is drawn once per block by :meth:`run` — the reused sweeps
-        re-traverse the *same* vector, which is what makes their misses
-        conflicts rather than fresh compulsory loads.
+        Each block draws its first vector's base and stride once — the
+        reused sweeps re-traverse the *same* vector, which is what makes
+        their misses conflicts rather than fresh compulsory loads.  A
+        sweep is cut into single-stream pieces plus a final double access
+        whose second vector is drawn afresh per sweep.  The first sweep
+        of a block is an initial (pipelined) load; the remaining ``R - 1``
+        sweeps expect cached data.
+
+        Draws happen as the streams are consumed, in the order the
+        sweeps issue them, so a consumer must exhaust each block before
+        advancing to the next.  The pieces of the first vector are built
+        once per block and re-issued by every reuse sweep, sharing their
+        address arrays.
         """
+        n = problem_size if problem_size is not None else vcm.blocking_factor
+        reuse = max(1, round(vcm.reuse_factor))
+        for _ in range(ceil_div(n, vcm.blocking_factor)):
+            base1 = self._draw_base()
+            s1 = self._draw_stride(vcm.s1, vcm.p_stride1_s1)
+            yield self._block_ops(vcm, base1, s1, reuse)
+
+    def _block_ops(self, vcm: VCM, base1: int, s1: int, reuse: int):
+        block = vcm.blocking_factor
         if vcm.p_ds == 0:
-            return [
-                VectorLoad(
-                    base=base1,
-                    stride=s1,
-                    length=vcm.blocking_factor,
-                    expect_cached=expect_cached,
-                )
-            ]
-        piece = max(1, round(vcm.blocking_factor * vcm.p_ds))
-        ops: list = []
-        offset = 0
-        while offset < vcm.blocking_factor:
-            length = min(piece, vcm.blocking_factor - offset)
-            load = VectorLoad(
-                base=base1 + offset * s1,
-                stride=s1,
-                length=length,
-                expect_cached=expect_cached,
+            initial = VectorLoad(base=base1, stride=s1, length=block)
+            cached = VectorLoad(base=base1, stride=s1, length=block,
+                                expect_cached=True)
+            yield initial
+            for _ in range(reuse - 1):
+                yield cached
+            return
+        piece = max(1, round(block * vcm.p_ds))
+        spans = [(offset, min(piece, block - offset))
+                 for offset in range(0, block, piece)]
+        sweeps = [
+            [VectorLoad(base=base1 + offset * s1, stride=s1, length=length,
+                        expect_cached=expect_cached)
+             for offset, length in spans]
+            for expect_cached in (False, True)
+        ]
+        for sweep in range(reuse):
+            *singles, last = sweeps[sweep > 0]
+            yield from singles
+            s2 = self._draw_stride(vcm.s2, vcm.p_stride1_s2)
+            second = VectorLoad(
+                base=self._draw_base(),
+                stride=s2,
+                length=piece,
+                expect_cached=False,  # the second operand streams in
+                counts_results=False,
             )
-            offset += length
-            last_piece = offset >= vcm.blocking_factor
-            if last_piece:
-                s2 = self._draw_stride(vcm.s2, vcm.p_stride1_s2)
-                second = VectorLoad(
-                    base=self._draw_base(),
-                    stride=s2,
-                    length=piece,
-                    expect_cached=False,  # the second operand streams in
-                    counts_results=False,
-                )
-                ops.append(LoadPair(load, second))
-            else:
-                ops.append(load)
-        return ops
+            yield LoadPair(last, second)
 
     # -- the drive ------------------------------------------------------------------
 
     def run(self, vcm: VCM, problem_size: int | None = None) -> DrivenResult:
-        """Execute the whole VCM workload; returns merged accounting."""
+        """Execute the whole VCM workload; returns merged accounting.
+
+        Each block runs as one :meth:`~VectorMachine.execute` call, so
+        only its first sweep pays the loop overhead.
+        """
         n = problem_size if problem_size is not None else vcm.blocking_factor
-        blocks = ceil_div(n, vcm.blocking_factor)
         reuse = max(1, round(vcm.reuse_factor))
         total = ExecutionReport()
-        for _ in range(blocks):
-            base1 = self._draw_base()
-            s1 = self._draw_stride(vcm.s1, vcm.p_stride1_s1)
+        for ops in self.block_streams(vcm, n):
             if isinstance(self.machine, CCMachine):
                 self.machine.cache.invalidate_all()  # new block, new working set
-            for sweep in range(reuse):
-                ops = self._sweep_ops(vcm, base1, s1, expect_cached=sweep > 0)
-                total.merge(self.machine.execute(ops, add_loop_overhead=sweep == 0))
+            total.merge(self.machine.execute(ops))
         denominator = n * reuse
         return DrivenResult(total, total.cycles / denominator)

@@ -25,10 +25,16 @@ Timing rules (Section 3.1):
   ``t_m`` component of its start-up (Eq. (4)).
 
 Both machines execute loads and stores through a vectorised strip-level
-timing engine by default (see :meth:`VectorMachine._run_load_batched` for
-the dispatch rules and ``docs/architecture.md`` for the derivations);
-``fast_path=False`` selects the per-element scalar reference loop, which
-the engine reproduces bit-for-bit.
+timing engine by default; ``fast_path=False`` selects the per-element
+scalar reference loop, which the engine reproduces bit-for-bit.  The
+engine consumes the op stream in chunks of at most :data:`CHUNK_REFS`
+load references and probes each chunk's cache outcomes with one
+``access_many`` call (:meth:`VectorMachine._run_chunk`).  Consecutive
+single-stream loads that cannot stall on themselves form a run timed
+with one bank-service call (:meth:`VectorMachine._run_loads`); pairs
+and loads whose bank period is below ``t_m`` are timed op by op
+(:meth:`VectorMachine._run_load_batched`).  ``docs/architecture.md``
+has the derivations.
 """
 
 from __future__ import annotations
@@ -54,7 +60,53 @@ from repro.memory.banks import (
 from repro.memory.bus import BusSet
 from repro.memory.write_buffer import WriteBuffer
 
-__all__ = ["VectorMachine", "MMMachine", "CCMachine"]
+__all__ = ["VectorMachine", "MMMachine", "CCMachine", "CHUNK_REFS"]
+
+#: Most load references the batched engine probes and times per chunk.
+#: One ``access_many`` call per chunk amortises the probe's fixed cost
+#: over many short ops, while the bound keeps the chunk's address, hit
+#: and schedule arrays small however long the op stream runs.  Bigger
+#: chunks cost more than they save: a chunk that revisits cache sets
+#: (every multi-sweep chunk does) takes the cache's sort-based replay,
+#: whose cost per reference grows with the chunk, and at 16 K references
+#: its temporaries were returned to and re-faulted from the OS on every
+#: chunk.
+CHUNK_REFS = 1 << 12
+
+_NO_HITS = np.empty(0, dtype=bool)
+
+
+def _second_tail(first: VectorLoad, second: VectorLoad | None):
+    """The part of a pair's second stream beyond its first stream, which
+    replays as a standalone load after the shared strips (or ``None``)."""
+    if second is None or second.length <= first.length:
+        return None
+    return VectorLoad(
+        base=second.base + first.length * second.stride,
+        stride=second.stride,
+        length=second.length - first.length,
+        expect_cached=second.expect_cached,
+        counts_results=second.counts_results,
+    )
+
+
+def _chunks(operations):
+    """Group an op stream into lists of at most :data:`CHUNK_REFS`
+    references (an op longer than that forms a chunk of its own)."""
+    chunk: list = []
+    refs = 0
+    for op in operations:
+        if isinstance(op, LoadPair):
+            size = op.first.length + op.second.length
+        else:
+            size = getattr(op, "length", 0)
+        if chunk and refs + size > CHUNK_REFS:
+            yield chunk
+            chunk, refs = [], 0
+        chunk.append(op)
+        refs += size
+    if chunk:
+        yield chunk
 
 
 class VectorMachine:
@@ -114,11 +166,11 @@ class VectorMachine:
         )
         self.fast_path = fast_path
         self._cycle = 0
-        # memo for the zero-stall whole-op geometry of _run_load_batched:
-        # (period, miss_count, overhead) -> (p_seen, per-bank access
-        # counts, per-bank finish offsets from the op's start cycle) —
-        # everything in it is cycle0- and base-independent
-        self._zero_stall_geometry: dict[tuple, tuple] = {}
+        # memo of _run_key's bank-period test: (stride, length) -> whether
+        # a pipelined load of that shape can never stall on itself
+        self._clears_itself: dict[tuple, bool] = {}
+        # memo of _schedule: (overhead, load lengths) -> (strips, offsets)
+        self._schedules: dict[tuple, tuple] = {}
         # memo for stalling all-miss-prefix loads: because the bank
         # sequence is periodic, an op only ever touches its first-period
         # banks, so (lengths, period, overhead, residual per-bank busy
@@ -141,25 +193,24 @@ class VectorMachine:
     ) -> int:
         """Cycles consumed by one element beyond its 1-cycle issue slot.
 
-        ``hit`` carries a pre-computed cache outcome from
-        :meth:`_probe_loads` (``None`` when the caller did not batch the
-        probes, or on a cacheless machine, where it is ignored).
+        ``hit`` carries a pre-computed cache outcome from :meth:`_probe`
+        (``None`` when the caller did not batch the probes, or on a
+        cacheless machine, where it is ignored).
         """
         raise NotImplementedError
 
-    def _probe_loads(self, addresses_first, addresses_second):
-        """Pre-compute cache outcomes for a (pair of) load stream(s).
+    @property
+    def _probes_in_batches(self) -> bool:
+        """Whether :meth:`_probe` can classify a whole chunk up front."""
+        return True
 
-        ``addresses_first``/``addresses_second`` are int64 address arrays
-        (``None`` for a single-stream load).  Returns ``(hits_first,
-        hits_second)`` — per-element boolean hit arrays in issue order,
-        the second truncated to the paired slot count — or ``(None,
-        None)`` when there is no cache to probe (the MM-machine) or the
-        cache has no batched path.  Cache state is clock-independent, so
-        probing the whole operation up front through
-        :meth:`~repro.cache.base.Cache.access_many` is exact.
+    def _probe(self, addresses: np.ndarray) -> np.ndarray | None:
+        """Cache outcomes of one chunk's load references, in issue order.
+
+        Returns a boolean hit array, or ``None`` on a cacheless machine
+        (every reference goes to memory).
         """
-        return None, None
+        return None
 
     # -- execution ---------------------------------------------------------------
 
@@ -179,7 +230,10 @@ class VectorMachine:
     def execute(self, operations, *, add_loop_overhead: bool = True) -> ExecutionReport:
         """Run a sequence of operations; returns the cycle accounting.
 
-        ``operations`` is any iterable of :data:`~repro.machine.ops.Operation`.
+        ``operations`` is any iterable of :data:`~repro.machine.ops.Operation`,
+        consumed lazily in chunks of at most :data:`CHUNK_REFS` references
+        (see :meth:`_run_chunk`); ops are drawn a chunk ahead of their
+        timing, so a generator feeding them must not read machine state.
         ``add_loop_overhead`` charges the per-block 10-cycle overhead once.
         """
         report = ExecutionReport()
@@ -187,17 +241,24 @@ class VectorMachine:
         if add_loop_overhead:
             self._cycle += self.config.loop_overhead
             report.overhead_cycles += self.config.loop_overhead
-        for op in operations:
-            self._run_op(op, report)
+        if self.fast_path and self._probes_in_batches:
+            for chunk in _chunks(operations):
+                self._run_chunk(chunk, report)
+        else:
+            # the per-element reference: the scalar loop classifies each
+            # element through ``cache.access`` inside ``_element_cycles``
+            for op in operations:
+                if isinstance(op, VectorLoad):
+                    self._run_load_strips(op, None, report)
+                elif isinstance(op, LoadPair):
+                    self._run_load_strips(op.first, op.second, report)
+                else:
+                    self._run_other(op, report)
         report.cycles += self._cycle - start
         return report
 
-    def _run_op(self, op: Operation, report: ExecutionReport) -> None:
-        if isinstance(op, VectorLoad):
-            self._run_load_strips(op, None, report)
-        elif isinstance(op, LoadPair):
-            self._run_load_strips(op.first, op.second, report)
-        elif isinstance(op, VectorStore):
+    def _run_other(self, op: Operation, report: ExecutionReport) -> None:
+        if isinstance(op, VectorStore):
             self._run_store(op, report)
         elif isinstance(op, VectorCompute):
             self._cycle += op.length
@@ -212,32 +273,246 @@ class VectorMachine:
     def _run_load_strips(
         self, first: VectorLoad, second: VectorLoad | None, report: ExecutionReport
     ) -> None:
+        """One load operation on the per-element reference loop."""
         addr_first = first.address_array()
         addr_second = second.address_array() if second is not None else None
-        # With the fast path off, skip the batched cache probe too: the
-        # reference loop then classifies each element through the scalar
-        # ``cache.access`` inside ``_element_cycles``, exercising (and
-        # costing) the plain per-element machinery end to end.
-        hits_first, hits_second = (
-            self._probe_loads(addr_first, addr_second)
-            if self.fast_path else (None, None)
-        )
-        if not (self.fast_path and self._run_load_batched(
-                first, second, addr_first, addr_second,
-                hits_first, hits_second, report)):
-            self._run_load_scalar(first, second, addr_first, addr_second,
-                                  hits_first, hits_second, report)
-        # any second-stream tail longer than the first stream replays as a
-        # standalone load (its elements were not probed above)
-        if second is not None and second.length > first.length:
-            tail = VectorLoad(
-                base=int(addr_second[first.length]),
-                stride=second.stride,
-                length=second.length - first.length,
-                expect_cached=second.expect_cached,
-                counts_results=second.counts_results,
-            )
+        self._run_load_scalar(first, second, addr_first, addr_second,
+                              None, None, report)
+        tail = _second_tail(first, second)
+        if tail is not None:
             self._run_load_strips(tail, None, report)
+
+    def _run_chunk(self, ops: list, report: ExecutionReport) -> None:
+        """Time one chunk of operations on the batched engine.
+
+        The chunk's load references are probed with a single
+        ``access_many`` call in issue order — each pair's slots
+        interleaved, then its first-stream remainder, then its
+        second-stream tail (a standalone load, as in the reference).
+        Cache state does not depend on the clock, so probing ahead of
+        the timing is exact (stores and computes never touch the cache).
+
+        Timing then walks the chunk.  Consecutive single-stream loads
+        that cannot stall on themselves (see :meth:`_run_key`)
+        and share a strip overhead and miss rule form a *run*, timed by
+        :meth:`_run_loads` with one bank-service call.  Pairs and
+        self-stalling loads go through :meth:`_run_load_batched` one op
+        at a time.
+        """
+        pieces: list[np.ndarray] = []
+        items: list[tuple] = []
+        for op in ops:
+            if isinstance(op, VectorLoad):
+                addr = op.address_array()
+                items.append((op, None, addr, None))
+                pieces.append(addr)
+            elif isinstance(op, LoadPair):
+                first, second = op.first, op.second
+                addr_first = first.address_array()
+                addr_second = second.address_array()
+                paired = min(first.length, second.length)
+                interleaved = np.empty(2 * paired, dtype=np.int64)
+                interleaved[0::2] = addr_first[:paired]
+                interleaved[1::2] = addr_second[:paired]
+                pieces += (interleaved, addr_first[paired:])
+                items.append((first, second, addr_first, addr_second))
+                tail = _second_tail(first, second)
+                if tail is not None:
+                    addr_tail = addr_second[first.length:]
+                    items.append((tail, None, addr_tail, None))
+                    pieces.append(addr_tail)
+            else:
+                items.append((op, None, None, None))
+        addresses = np.concatenate(pieces) if pieces else None
+        hits = self._probe(addresses) if pieces else None
+
+        run: list[VectorLoad] = []
+        run_key = None
+        run_start = offset = 0
+        for op, second, addr_first, addr_second in items:
+            if addr_first is None:
+                if run:
+                    self._run_loads(run, addresses, hits, run_start, offset,
+                                    report)
+                    run = []
+                self._run_other(op, report)
+                continue
+            if second is None:
+                n = op.length
+                hits_op = None if hits is None else hits[offset:offset + n]
+                key = self._run_key(op, hits_op)
+                if key is not None:
+                    if run and key != run_key:
+                        self._run_loads(run, addresses, hits, run_start,
+                                        offset, report)
+                        run = []
+                    if not run:
+                        run_key, run_start = key, offset
+                    run.append(op)
+                    offset += n
+                    continue
+            if run:
+                self._run_loads(run, addresses, hits, run_start, offset,
+                                report)
+                run = []
+            if second is None:
+                hits_first, hits_second = hits_op, _NO_HITS
+                offset += n
+            else:
+                n1 = op.length
+                paired = min(n1, second.length)
+                if hits is None:
+                    hits_first = hits_second = None
+                else:
+                    slots = hits[offset:offset + n1 + paired]
+                    hits_first = np.concatenate(
+                        (slots[0:2 * paired:2], slots[2 * paired:]))
+                    hits_second = slots[1:2 * paired:2]
+                offset += n1 + paired
+            if not self._run_load_batched(op, second, addr_first,
+                                          addr_second, hits_first,
+                                          hits_second, report):
+                self._run_load_scalar(op, second, addr_first, addr_second,
+                                      hits_first, hits_second, report)
+        if run:
+            self._run_loads(run, addresses, hits, run_start, offset, report)
+
+    def _run_key(self, load: VectorLoad, hits) -> tuple | None:
+        """Run-grouping key of a single-stream load, or ``None`` when it
+        may stall on itself and must be timed alone.
+
+        A load joins a run only if no two of its memory accesses to the
+        same bank can sit closer than ``t_m`` nominal cycles:
+
+        * a CC load that expects cached data pays a ``t_m`` stall after
+          every miss, so any two of its accesses are over ``t_m`` apart;
+        * otherwise its stride's exact bank period ``P`` (the gap between
+          same-bank elements) must be at least ``t_m``, or the load must
+          be too short to revisit a bank.
+
+        Loads in one run also share their strip overhead and miss rule.
+        Between loads every strip start adds at least ``t_m`` cycles of
+        overhead on a pipelined load, but the bank-service call checks
+        the same-bank gaps itself, so the grouping is a speed choice only.
+        """
+        expect = hits is not None and load.expect_cached
+        if not expect:
+            shape = (load.stride, load.length)
+            clear = self._clears_itself.get(shape)
+            if clear is None:
+                period = self.memory.scheme.exact_stride_period(load.stride)
+                clear = period is not None and (period >= self.config.t_m
+                                                or load.length <= period)
+                if len(self._clears_itself) < 4096:
+                    self._clears_itself[shape] = clear
+            if not clear:
+                return None
+        return self._strip_overhead(load), expect
+
+    def _run_loads(
+        self, run: list[VectorLoad], addresses, hits, start: int, stop: int,
+        report: ExecutionReport,
+    ) -> None:
+        """Time a run of single-stream loads with one bank-service call.
+
+        ``addresses[start:stop]`` (and ``hits[start:stop]`` on a cached
+        machine) are the run's references in issue order.  The nominal
+        schedule keeps every load's own strip overheads and, for loads
+        that expect cached data, the ``t_m`` stall of each earlier miss;
+        :meth:`~repro.memory.banks.InterleavedMemory.service_at` then
+        adds the bank stalls, which push every later access back.
+        """
+        cycle0 = self._cycle
+        buses = self.buses
+        if (buses.read_buses[0]._next_free > cycle0
+                or buses.read_buses[1]._next_free > cycle0):
+            # a read bus lags the clock: the reference loop settles it
+            for load in run:
+                n = load.length
+                self._run_load_scalar(
+                    load, None, addresses[start:start + n], None,
+                    None if hits is None else hits[start:start + n],
+                    _NO_HITS, report)
+                start += n
+            return
+        overhead = self._strip_overhead(run[0])
+        strips, offsets = self._schedule(
+            tuple(load.length for load in run), overhead)
+        n = stop - start
+        report.overhead_cycles += strips * overhead
+        report.elements += n
+        report.results += sum(load.length for load in run
+                              if load.counts_results)
+        run_addresses = addresses[start:stop]
+        if hits is None:
+            positions = None
+            m = n
+        else:
+            positions = np.flatnonzero(~hits[start:stop])
+            m = positions.size
+            run_addresses = run_addresses[positions]
+            report.cache_hits += n - m
+            report.cache_misses += m
+        expect = hits is not None and run[0].expect_cached
+        end = cycle0 + strips * overhead + n
+        if m:
+            end += self._service_slots(cycle0, offsets, positions,
+                                       run_addresses, expect, report)
+        self._cycle = end
+        buses.claim_reads_batch(0, n, end)
+
+    def _schedule(self, lengths: tuple, overhead: int):
+        """``(strips, offsets)`` of a stream through loads of ``lengths``
+        slots: its ``MVL``-strip count, and each slot's nominal issue
+        cycle from the stream's start (``overhead`` cycles at every strip
+        start, then one cycle per slot).  Memoized: every sweep of a
+        block repeats the same load shapes."""
+        key = (overhead, lengths)
+        schedule = self._schedules.get(key)
+        if schedule is None:
+            mvl = self.config.mvl
+            strip_lengths = []
+            for length in lengths:
+                full, rest = divmod(length, mvl)
+                strip_lengths += [mvl] * full
+                if rest:
+                    strip_lengths.append(rest)
+            # the 1-based strip ordinal of every slot
+            ordinal = np.repeat(
+                np.arange(1, len(strip_lengths) + 1, dtype=np.int64),
+                strip_lengths)
+            offsets = overhead * ordinal + np.arange(ordinal.size,
+                                                     dtype=np.int64)
+            offsets.flags.writeable = False
+            schedule = len(strip_lengths), offsets
+            if len(self._schedules) < 256:
+                self._schedules[key] = schedule
+        return schedule
+
+    def _service_slots(
+        self, cycle0: int, offsets, positions, addresses, expect: bool,
+        report: ExecutionReport,
+    ) -> int:
+        """Bank-service one stream's memory accesses in a single call.
+
+        ``offsets`` is the stream's nominal slot schedule (see
+        :meth:`_schedule`); ``positions`` (``None`` for every slot) are
+        the slots that access memory, at ``addresses``.  With ``expect``
+        each access is followed by a non-pipelined ``t_m`` stall.
+        Returns the stall cycles the stream adds beyond its nominal
+        ``strips * overhead + slots`` cycles.
+        """
+        t_m = self.config.t_m
+        at = cycle0 + (offsets if positions is None else offsets[positions])
+        m = at.size
+        if expect:
+            at += t_m * np.arange(m, dtype=np.int64)
+        batch = self.memory.service_at(addresses, at)
+        report.bank_stall_cycles += batch.stall_cycles
+        if expect:
+            report.miss_stall_cycles += t_m * m
+            return batch.stall_cycles + t_m * m
+        return batch.stall_cycles
 
     def _run_load_scalar(
         self,
@@ -307,26 +582,23 @@ class VectorMachine:
           pairs where both streams miss) → :meth:`_run_pair_flat`, an
           exact flat loop with the per-element machinery hoisted;
         * no stream touches memory (CC all-hit op) → O(1) per strip;
-        * one active stream, contiguous all-miss prefix, pipelined misses
-          (MM loads, CC initial sweeps) → per-strip
+        * one active stream with a contiguous all-miss prefix, pipelined
+          misses and a bank period below ``t_m`` (a load that stalls on
+          itself) → the strip-service memo, else per-strip
           :meth:`~repro.memory.banks.InterleavedMemory.service_many`
           closed form;
-        * one active stream, sparse or conflict-stall misses (CC
-          ``expect_cached`` sweeps, mixed-hit initial sweeps) →
+        * any other single active stream →
           :meth:`~repro.memory.banks.InterleavedMemory.service_at` over
-          the miss subsequence.
+          the miss subsequence (see :meth:`_service_slots`).
 
-        The scalar loop still runs when the machine has a cache without
-        ``access_many``, or when a read bus could make a grant lag the
-        clock (never the case for machine-issued streams, but guarded so
-        hand-driven substrates keep exact semantics).
+        The scalar loop still runs when a read bus could make a grant
+        lag the clock (never the case for machine-issued streams, but
+        guarded so hand-driven substrates keep exact semantics).
         """
         cycle0 = self._cycle
         buses = self.buses
         if (buses.read_buses[0]._next_free > cycle0
                 or buses.read_buses[1]._next_free > cycle0):
-            return False
-        if hits_first is None and getattr(self, "cache", None) is not None:
             return False
         mem = self.memory
         mvl = self.config.mvl
@@ -367,77 +639,34 @@ class VectorMachine:
             return True
         expect = hits_first is not None and load.expect_cached
         prefix = hits_active is None or not bool(hits_active[:m].any())
-        if not expect and prefix:
-            # contiguous all-miss prefix: a pipelined one-per-cycle stream
-            # (the MM-model shape) — per-strip closed-form recurrence
-            period = mem.scheme.exact_stride_period(load.stride)
+        period = mem.scheme.exact_stride_period(load.stride)
+        if (not expect and prefix and period is not None and period < t_m
+                and m > period):
+            # A pipelined all-miss prefix that stalls on itself.  The
+            # op only ever touches the ``p_seen`` distinct banks of its
+            # first period, whose residual busy offsets (relative to
+            # cycle0) fully determine its stalls, end cycle, and the
+            # banks' new busy offsets — sweeps repeat the same op shape
+            # back-to-back and the bank state reaches a fixed point
+            # relative to the op start, so replay the memoized outcome
+            # when available.  A bank already free at cycle0 can never
+            # stall the op and is overwritten by the op's own visits, so
+            # negative offsets clamp to zero without changing the outcome.
             free = mem._bank_free_at
-            first_list = key = None
-            if period is not None:
-                # Periodic bank sequence: the op only ever touches the
-                # ``p_seen`` distinct banks of its first period, and
-                # their first visits are elements ``0..p_seen-1``.
-                p_seen = min(period, m)
-                first_banks = mem.scheme.bank_of_batch(array[:p_seen])
-                if t_m <= period:
-                    # Zero-stall whole-op form.  Same-bank accesses sit
-                    # at least ``period >= t_m`` issue slots apart (strip
-                    # overheads only widen the gap), so the op never
-                    # stalls on itself; with no stalls element ``k``
-                    # issues exactly at
-                    # ``cycle0 + (k // mvl + 1) * overhead + k``, so the
-                    # op is stall-free iff every touched bank's residual
-                    # busy time clears its first-visit issue cycle.  The
-                    # geometry (visit counts, issue/finish offsets) is
-                    # base- and cycle-independent, hence memoized.
-                    geo_key = (period, m, overhead)
-                    cached = self._zero_stall_geometry.get(geo_key)
-                    if cached is None:
-                        offs = np.arange(p_seen, dtype=np.int64)
-                        issue_off = (offs // mvl + 1) * overhead + offs
-                        reps = (m - 1 - offs) // period
-                        last_k = offs + period * reps
-                        finish_off = ((last_k // mvl + 1) * overhead
-                                      + last_k + t_m)
-                        cached = (reps + 1, issue_off, finish_off)
-                        if len(self._zero_stall_geometry) < 256:
-                            self._zero_stall_geometry[geo_key] = cached
-                    bank_counts, issue_off, finish_off = cached
-                    free_arr = np.asarray(free, dtype=np.int64)
-                    if bool((free_arr[first_banks]
-                             <= cycle0 + issue_off).all()):
-                        free_arr[first_banks] = cycle0 + finish_off
-                        mem._bank_free_at = free_arr.tolist()
-                        mem._record_batch(first_banks, bank_counts, m, 0)
-                        end = cycle0 + total_overhead + n1
-                        self._cycle = end
-                        buses.claim_reads_batch(paired, n1 - paired, end)
-                        return True
-                # Stalling op: the residual busy offsets of the touched
-                # banks (relative to cycle0) fully determine the op's
-                # stalls, end cycle, and the banks' new busy offsets —
-                # sweeps repeat the same op shape back-to-back and the
-                # bank state reaches a fixed point relative to the op
-                # start, so replay the memoized outcome when available.
-                # A bank already free at cycle0 can never stall the op
-                # and is overwritten by the op's own visits, so negative
-                # offsets clamp to zero without changing the outcome.
-                first_list = first_banks.tolist()
-                deltas = tuple(
-                    max(free[b] - cycle0, 0) for b in first_list
-                )
-                key = (n1, m, period, overhead, deltas)
-                memo = self._strip_service_memo.get(key)
-                if memo is not None:
-                    stall, end_off, new_deltas, bank_counts = memo
-                    for b, nd in zip(first_list, new_deltas):
-                        free[b] = cycle0 + nd
-                    mem._record_batch(first_list, bank_counts, m, stall)
-                    report.bank_stall_cycles += stall
-                    end = cycle0 + end_off
-                    self._cycle = end
-                    buses.claim_reads_batch(paired, n1 - paired, end)
-                    return True
+            first_list = mem.scheme.bank_of_batch(array[:period]).tolist()
+            deltas = tuple(max(free[b] - cycle0, 0) for b in first_list)
+            key = (n1, m, period, overhead, deltas)
+            memo = self._strip_service_memo.get(key)
+            if memo is not None:
+                stall, end_off, new_deltas, bank_counts = memo
+                for b, nd in zip(first_list, new_deltas):
+                    free[b] = cycle0 + nd
+                mem._record_batch(first_list, bank_counts, m, stall)
+                report.bank_stall_cycles += stall
+                end = cycle0 + end_off
+                self._cycle = end
+                buses.claim_reads_batch(paired, n1 - paired, end)
+                return True
             bank_stall = 0
             cycle = cycle0
             for strip_start in range(0, n1, mvl):
@@ -455,7 +684,7 @@ class VectorMachine:
                 else:
                     cycle += strip_len
             report.bank_stall_cycles += bank_stall
-            if first_list is not None and len(self._strip_service_memo) < 4096:
+            if len(self._strip_service_memo) < 4096:
                 free = mem._bank_free_at
                 self._strip_service_memo[key] = (
                     bank_stall,
@@ -467,20 +696,13 @@ class VectorMachine:
             self._cycle = cycle
             buses.claim_reads_batch(paired, n1 - paired, cycle)
             return True
-        # sparse misses: conflict-stall sweeps space every access t_m+1
-        # apart (vectorised inside service_at); mixed-hit initial sweeps
-        # take service_at's exact sequential fallback
-        positions = np.flatnonzero(~hits_active)
-        strip_of = positions // mvl
-        at_cycles = cycle0 + (strip_of + 1) * overhead + positions
-        if expect:
-            at_cycles = at_cycles + t_m * np.arange(m, dtype=np.int64)
-        batch = mem.service_at(array[positions], at_cycles)
-        report.bank_stall_cycles += batch.stall_cycles
-        end = cycle0 + total_overhead + n1 + batch.stall_cycles
-        if expect:
-            report.miss_stall_cycles += t_m * m
-            end += t_m * m
+        # sparse misses, conflict-stall sweeps, and prefixes whose bank
+        # period covers t_m: one service_at call over the misses
+        positions = None if hits_active is None else np.flatnonzero(~hits_active)
+        accessed = array if positions is None else array[positions]
+        _, offsets = self._schedule((n1,), overhead)
+        end = cycle0 + total_overhead + n1 + self._service_slots(
+            cycle0, offsets, positions, accessed, expect, report)
         self._cycle = end
         buses.claim_reads_batch(paired, n1 - paired, end)
         return True
@@ -713,38 +935,18 @@ class CCMachine(VectorMachine):
                 base += self.start_recalc_cycles
         return base
 
-    def _probe_loads(self, addresses_first, addresses_second):
-        if self._l2_time is not None:
-            # A hit bitmap cannot carry which *level* served each access,
-            # and the batched modes know nothing of L2 service stalls, so
-            # hierarchical machines run the per-element reference loop
-            # (which reads ``cache.last_level`` after each access).
-            return None, None
-        access_many = getattr(self.cache, "access_many", None)
-        if access_many is None:
-            return None, None
-        if addresses_second is None:
-            hits = access_many(addresses_first, return_hits=True,
-                               backend=self._backend).hits
-            return hits, np.empty(0, dtype=bool)
-        n1 = len(addresses_first)
-        n2 = len(addresses_second)
-        # Issue order interleaves the two streams pairwise (the strip loop
-        # slices both by the same offsets); any second-stream tail beyond
-        # the first stream is replayed by a recursive _run_load_strips
-        # call, which probes itself.
-        paired = min(n1, n2)
-        interleaved = np.empty(2 * paired + (n1 - paired), dtype=np.int64)
-        interleaved[0:2 * paired:2] = addresses_first[:paired]
-        if paired:
-            interleaved[1:2 * paired:2] = addresses_second[:paired]
-        interleaved[2 * paired:] = addresses_first[paired:]
-        hits = access_many(interleaved, return_hits=True,
-                           backend=self._backend).hits
-        hits_first = np.empty(n1, dtype=bool)
-        hits_first[:paired] = hits[0:2 * paired:2]
-        hits_first[paired:] = hits[2 * paired:]
-        return hits_first, hits[1:2 * paired:2]
+    @property
+    def _probes_in_batches(self) -> bool:
+        # A hit bitmap cannot carry which *level* served each access, and
+        # the batched modes know nothing of L2 service stalls, so
+        # hierarchical machines run the per-element reference loop (which
+        # reads ``cache.last_level`` after each access).
+        return (self._l2_time is None
+                and getattr(self.cache, "access_many", None) is not None)
+
+    def _probe(self, addresses: np.ndarray) -> np.ndarray:
+        return self.cache.access_many(addresses, return_hits=True,
+                                      backend=self._backend).hits
 
     def _element_cycles(
         self, address: int, load: VectorLoad, report: ExecutionReport,

@@ -456,13 +456,20 @@ class InterleavedMemory:
                 delay += reply.stall_cycles
 
         — every bank stall pushes all later accesses back by the same
-        amount (the CC-machine's non-pipelined conflict-miss rule, where
-        each miss already spaces accesses ``t_m`` apart).  When
-        consecutive ``cycles`` are at least ``t_m`` apart, an access can
-        never collide with an *earlier access of the same call* (its bank
-        freed before the next nominal slot), so only residual pre-call
-        bank state can stall and the cumulative delay is a running
-        maximum in closed form; otherwise the exact loop runs.
+        amount (the machines' one-issue-pipeline rule, both for pipelined
+        streams and for the CC-machine's non-pipelined conflict misses).
+
+        When every access's ``cycles`` entry is at least ``t_m`` after
+        that of the previous access to the *same bank* in the call, an
+        access can never wait on an earlier access of the call: delays
+        only grow, so stalls only widen those gaps, and the bank has
+        freed before the access's nominal slot.  Only the banks' state
+        at call entry can stall, and the cumulative delay is a running
+        maximum in closed form.  Consecutive entries at least ``t_m``
+        apart (conflict-miss sweeps) pass the test outright; otherwise
+        a stable sort by bank measures the same-bank gaps (strided
+        streams whose bank period covers ``t_m``, with strip overheads in
+        between).  Any shorter same-bank gap takes the exact loop.
         """
         addrs = np.ascontiguousarray(addresses, dtype=np.int64)
         n = addrs.size
@@ -474,12 +481,13 @@ class InterleavedMemory:
         if cyc.shape != addrs.shape:
             raise ValueError("cycles must match addresses in shape")
         banks = self.scheme.bank_of_batch(addrs)
+        t_m = self.access_time
         # The closed form costs a fixed ~dozen numpy calls; below a few
         # dozen elements the exact loop is cheaper, so take it outright.
-        if n <= 32 or int(np.diff(cyc).min()) < self.access_time:
+        if n <= 32 or (int(np.diff(cyc).min()) < t_m
+                       and not self._same_bank_gaps_clear(banks, cyc)):
             return self._service_at_flat(banks.tolist(), cyc.tolist())
 
-        t_m = self.access_time
         free_arr = np.asarray(self._bank_free_at, dtype=np.int64)
         delays = np.maximum.accumulate(free_arr[banks] - cyc)
         delays = np.maximum(delays, 0)
@@ -491,6 +499,19 @@ class InterleavedMemory:
         touched = np.flatnonzero(counts)
         self._record_batch(touched, counts[touched], n, total)
         return BatchReply(n, total, int(issues[-1]) + 1)
+
+    def _same_bank_gaps_clear(self, banks, cycles) -> bool:
+        """Whether each access comes at least ``t_m`` cycles after the
+        previous access to its bank (the closed-form condition of
+        :meth:`service_at`)."""
+        # a stable sort groups accesses by bank in call order; a narrow
+        # key lets numpy use its linear-time radix sort
+        key = banks.astype(np.uint16) if self.num_banks <= 1 << 16 else banks
+        order = np.argsort(key, kind="stable")
+        grouped = banks[order]
+        gaps = np.diff(cycles[order])
+        return not bool(((grouped[1:] == grouped[:-1])
+                         & (gaps < self.access_time)).any())
 
     def service_writes(
         self, addresses, start_cycle: int, *, stride: int | None = None

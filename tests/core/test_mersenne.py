@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mersenne import (
@@ -131,6 +131,9 @@ class TestMersenneModulus:
         assert m.reduce(31) == 0
         assert m.reduce(62) == 0
 
+    # one example walks up to 2^17 - 1 residues, which can outrun
+    # Hypothesis's default 200 ms deadline on a slow host
+    @settings(deadline=None)
     @given(EXPONENTS, st.integers(min_value=1, max_value=2**20))
     def test_stride_wraps_cover_all_lines_when_coprime(self, c, stride):
         """A stride coprime to the modulus visits every residue: the

@@ -80,6 +80,19 @@ class TestSimulatedFigures:
         for series_a, series_b in zip(serial.series, pooled.series):
             assert series_a.values == series_b.values
 
+    def test_full_reuse_series_are_pinned(self):
+        # Full reuse (R = B = 256) on all three machines: every reuse
+        # sweep of a block re-issues the same loads, stride draws both
+        # clear the banks and stall on themselves, and each block runs
+        # as one op stream.  The values were recorded before the engine
+        # timed whole runs of loads; any timing change shows up here.
+        result = figure7_simulated([8, 64], block=256, seeds=1, blocks=2)
+        assert {s.label: s.values for s in result.series} == {
+            "MM-model": [3.3613662719726562, 7.3344268798828125],
+            "CC-direct": [3.0162353515625, 3.5475006103515625],
+            "CC-prime": [3.017608642578125, 3.5576095581054688],
+        }
+
     def test_full_reuse_default_noted(self):
         # defaults run the paper's steady state, R = B — no truncation
         result = figure7_simulated([8], block=64, seeds=1, blocks=1)

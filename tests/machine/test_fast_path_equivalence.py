@@ -18,11 +18,14 @@ transfer *sum* and per-bus wait cycles, and everything else exactly.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.analytical.base import MachineConfig
 from repro.cache import DirectMappedCache, PrimeMappedCache
+from repro.machine import vector_machine
 from repro.machine.ops import LoadPair, VectorCompute, VectorLoad, VectorStore
 from repro.machine.vector_machine import CCMachine, MMMachine
 
@@ -169,3 +172,61 @@ def test_finite_write_buffer_stalls_match_scalar(depth, stride, length, t_m):
     if stride == 0 and t_m == 32 and length > 10:
         # same-bank store storm: a depth-limited buffer must stall
         assert fast_report.store_stall_cycles > 0
+
+
+@st.composite
+def _long_stream(draw):
+    """Long loads and pairs (runs, self-stalling loads and second-stream
+    tails) cut into chunks far smaller than the default bound, on a CC
+    machine whose cached and pipelined strips may cost the same."""
+    t_m = draw(st.sampled_from((2, 4, 16, 32)))
+    config = MachineConfig(num_banks=draw(st.sampled_from((16, 64))),
+                           memory_access_time=t_m, mvl=16, cache_lines=31)
+    spec = draw(st.sampled_from(("mm", "cc-direct", "cc-prime")))
+    loads = st.builds(
+        _nonnegative_load,
+        st.integers(0, 1 << 20),
+        st.sampled_from((1, 2, 3, 8, 16, 64)) | st.integers(-8, 70),
+        st.integers(1, 300),
+        st.booleans(),
+        st.just(True),
+    )
+    seconds = st.builds(
+        _nonnegative_load,
+        st.integers(0, 1 << 20),
+        st.integers(-8, 70),
+        st.integers(1, 300),
+        st.just(False),
+        st.just(False),
+    )
+    ops = draw(st.lists(loads | st.builds(LoadPair, loads, seconds),
+                        min_size=2, max_size=8))
+    chunk_refs = draw(st.sampled_from((64, 500, 1 << 14)))
+    return config, spec, ops, chunk_refs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_long_stream())
+def test_chunked_long_streams_match_scalar(case):
+    """Chunk boundaries, probe offsets and run grouping stay exact for
+    long ops; the CC machine re-folds start addresses at a cost equal to
+    the ``t_m`` a cached strip saves, so loads with and without
+    ``expect_cached`` share a strip overhead and only their miss rule
+    keeps them in separate runs."""
+    config, spec, ops, chunk_refs = case
+    machines = []
+    for fast in (False, True):
+        if spec == "mm":
+            machines.append(MMMachine(config, fast_path=fast))
+            continue
+        cache = (DirectMappedCache(32, classify_misses=False)
+                 if spec == "cc-direct"
+                 else PrimeMappedCache(c=5, classify_misses=False))
+        machines.append(CCMachine(config, cache, start_registers=False,
+                                  start_recalc_cycles=config.t_m,
+                                  fast_path=fast))
+    scalar, fast = machines
+    with mock.patch.object(vector_machine, "CHUNK_REFS", chunk_refs):
+        for _ in range(2):
+            assert fast.execute(iter(ops)) == scalar.execute(ops)
+    assert _full_state(fast) == _full_state(scalar)

@@ -11,9 +11,12 @@ and batched accumulators.
 
 from __future__ import annotations
 
+import math
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.memory.banks import InterleavedMemory
 
@@ -82,6 +85,58 @@ def test_service_at_matches_cumulative_delay_loop():
         batch = fast.service_at(addresses, cycles)
         assert batch.stall_cycles == total
         assert _state(fast) == _state(ref)
+
+
+@st.composite
+def _clear_strided_stream(draw):
+    """A strided stream whose bank period covers ``t_m``, issued one per
+    cycle with strip-overhead gaps (and possibly thinned to a subset of
+    its slots): consecutive nominal cycles sit closer than ``t_m``, but
+    accesses to the same bank never do."""
+    num_banks = draw(st.sampled_from((4, 8, 16, 64)))
+    stride = draw(st.integers(1, 4 * num_banks).filter(
+        lambda s: s % num_banks))
+    period = num_banks // math.gcd(num_banks, stride)
+    t_m = draw(st.integers(2, period))
+    mvl = draw(st.sampled_from((4, 16, 64)))
+    overhead = draw(st.integers(0, 3 * t_m))
+    slots = draw(st.integers(40, 200))
+    keep = draw(st.lists(st.booleans(), min_size=slots, max_size=slots))
+    keep[:33] = [True] * 33  # above the exact loop's small-call cutoff
+    base = draw(st.integers(0, 1 << 16))
+    start = draw(st.integers(0, 500))
+    warm = draw(st.lists(st.integers(0, start + 3 * t_m),
+                         min_size=num_banks, max_size=num_banks))
+    addresses, cycles = [], []
+    for k in range(slots):
+        if keep[k]:
+            addresses.append(base + k * stride)
+            cycles.append(start + (k // mvl + 1) * overhead + k)
+    return num_banks, t_m, addresses, cycles, warm
+
+
+@settings(max_examples=150, deadline=None)
+@given(_clear_strided_stream())
+def test_service_at_closed_form_covers_clear_same_bank_gaps(case):
+    num_banks, t_m, addresses, cycles, warm = case
+    ref, fast = _pair(num_banks, t_m, warm)
+    delay, total, issue = 0, 0, 0
+    for address, cycle in zip(addresses, cycles):
+        reply = ref.access(address, cycle + delay)
+        total += reply.stall_cycles
+        delay += reply.stall_cycles
+        issue = reply.issue_cycle
+    flat_calls = []
+
+    def spy(*args):
+        flat_calls.append(args)
+        return InterleavedMemory._service_at_flat(fast, *args)
+
+    fast._service_at_flat = spy
+    batch = fast.service_at(addresses, cycles)
+    assert (batch.stall_cycles, batch.final_cycle) == (total, issue + 1)
+    assert _state(fast) == _state(ref)
+    assert not flat_calls, "closed form skipped for clear same-bank gaps"
 
 
 def test_service_writes_matches_fixed_rate_store_loop():
