@@ -1,8 +1,9 @@
 """Benchmark: the strip-level timing engine versus the scalar loop.
 
 The MM/CC machine simulators carry two interchangeable timing paths: the
-per-element reference loop (``fast_path=False``) and the vectorised
-strip-level engine that reproduces it bit-for-bit.  This bench drives the
+per-element reference loop (``backend="scalar"``) and the vectorised
+strip-level engine (``backend="compiled"``) that reproduces it
+bit-for-bit.  This bench drives the
 full-reuse Figure-7 operating point (B = R = 1024, ``t_m = 32``, M = 64,
 ``p_ds = 0.1``) through all three machines on both paths, checks that the
 reports agree exactly, and records the simulated-cycles-per-second ratio
@@ -48,13 +49,13 @@ SPEEDUP_FLOOR = 10.0
 CONFIG = MachineConfig(num_banks=NUM_BANKS, memory_access_time=T_M)
 
 MACHINES = {
-    "MM-model": lambda fast: MMMachine(CONFIG, fast_path=fast),
-    "CC-direct": lambda fast: CCMachine(
+    "MM-model": lambda backend: MMMachine(CONFIG, backend=backend),
+    "CC-direct": lambda backend: CCMachine(
         CONFIG, DirectMappedCache(num_lines=8192, classify_misses=False),
-        fast_path=fast),
-    "CC-prime": lambda fast: CCMachine(
+        backend=backend),
+    "CC-prime": lambda backend: CCMachine(
         CONFIG, PrimeMappedCache(c=13, classify_misses=False),
-        fast_path=fast),
+        backend=backend),
 }
 
 
@@ -72,7 +73,7 @@ def _synthesize_blocks(factory) -> list[list]:
     stream is identical for both timing paths and can be captured
     without running any machine.
     """
-    driver = VCMDriver(factory(True), seed=1)
+    driver = VCMDriver(factory("compiled"), seed=1)
     vcm = VCM(blocking_factor=BLOCK, reuse_factor=REUSE, p_ds=0.1)
     return [list(ops)
             for ops in driver.block_streams(vcm, BLOCK * BLOCKS)]
@@ -93,18 +94,18 @@ def measure(name: str, factory) -> dict:
     """Replay one pre-drawn workload on both paths; returns the record."""
     blocks = _synthesize_blocks(factory)
 
-    def timed(fast: bool, reps: int):
+    def timed(backend: str, reps: int):
         best = float("inf")
         report = None
         for _ in range(reps):
-            machine = factory(fast)
+            machine = factory(backend)
             start = time.perf_counter()
             report = _execute(machine, blocks)
             best = min(best, time.perf_counter() - start)
         return best, report
 
-    fast_seconds, fast_report = timed(True, reps=3)
-    scalar_seconds, scalar_report = timed(False, reps=1)
+    fast_seconds, fast_report = timed("compiled", reps=3)
+    scalar_seconds, scalar_report = timed("scalar", reps=1)
 
     if _report_tuple(fast_report) != _report_tuple(scalar_report):
         raise AssertionError(

@@ -3,9 +3,10 @@
 ``Cache.access_many`` exists so the trace-driven experiments stop being
 bound by per-access Python overhead.  This bench replays a one-million
 access strided stream through the two organisations the paper compares —
-direct-mapped and prime-mapped — on the scalar, batched-numpy and
-compiled paths, checks that the batched statistics are bit-for-bit
-identical to the scalar loop, and records the throughput ratios plus the
+direct-mapped and prime-mapped — on the scalar per-access loop and the
+batched path (the default compiled backend), checks that the batched
+statistics are bit-for-bit identical to the scalar loop, and records the
+throughput ratio plus the
 process peak RSS (``ru_maxrss`` — a high-water mark, so later records
 inherit earlier peaks) in ``BENCH_replay.json`` at the repo root.
 
@@ -58,8 +59,7 @@ def _peak_rss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
-def _time_batched(factory, addresses: np.ndarray, reps: int = 3,
-                  backend: str | None = None):
+def _time_batched(factory, addresses: np.ndarray, reps: int = 3):
     """Best-of-``reps`` batched replay (first run pays page-fault and
     allocator warm-up for the working arrays); each rep starts cold."""
     best = float("inf")
@@ -67,7 +67,7 @@ def _time_batched(factory, addresses: np.ndarray, reps: int = 3,
     for _ in range(reps):
         cache = factory()
         start = time.perf_counter()
-        cache.access_many(addresses, backend=backend)
+        cache.access_many(addresses)
         best = min(best, time.perf_counter() - start)
     return best, cache
 
@@ -85,19 +85,15 @@ def measure(name: str, factory) -> dict:
     scalar_seconds = time.perf_counter() - start
 
     batched_seconds, batched_cache = _time_batched(factory, addresses)
-    compiled_seconds, compiled_cache = _time_batched(
-        factory, addresses, backend="compiled")
 
     scalar_stats = _stats_tuple(scalar_cache.stats)
-    for path, cache in (("batched", batched_cache),
-                        ("compiled", compiled_cache)):
-        path_stats = _stats_tuple(cache.stats)
-        if scalar_stats != path_stats:
-            raise AssertionError(
-                f"{name}: {path} stats diverge from scalar: "
-                f"{path_stats} != {scalar_stats}")
-        if scalar_cache.resident_lines() != cache.resident_lines():
-            raise AssertionError(f"{name}: {path} final residency diverges")
+    batched_stats = _stats_tuple(batched_cache.stats)
+    if scalar_stats != batched_stats:
+        raise AssertionError(
+            f"{name}: batched stats diverge from scalar: "
+            f"{batched_stats} != {scalar_stats}")
+    if scalar_cache.resident_lines() != batched_cache.resident_lines():
+        raise AssertionError(f"{name}: batched final residency diverges")
 
     return {
         "cache": name,
@@ -106,12 +102,9 @@ def measure(name: str, factory) -> dict:
         "hit_ratio": round(scalar_cache.stats.hit_ratio, 6),
         "scalar_seconds": round(scalar_seconds, 4),
         "batched_seconds": round(batched_seconds, 4),
-        "compiled_seconds": round(compiled_seconds, 4),
         "scalar_accesses_per_sec": round(N_ACCESSES / scalar_seconds),
         "batched_accesses_per_sec": round(N_ACCESSES / batched_seconds),
-        "compiled_accesses_per_sec": round(N_ACCESSES / compiled_seconds),
         "speedup": round(scalar_seconds / batched_seconds, 2),
-        "compiled_speedup": round(scalar_seconds / compiled_seconds, 2),
         "stats_identical": True,
         "peak_rss_kb": _peak_rss_kb(),
     }

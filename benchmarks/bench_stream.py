@@ -7,10 +7,8 @@ work, and this bench enforces both, recording the evidence in
 * **Throughput** — replaying a :class:`~repro.trace.stream.StridedStream`
   through ``Cache.access_many`` on ``backend="compiled"`` sustains at
   least ``100e6`` references per second (the floor is only enforced when
-  a real compiled provider — numba or the generated-C extension — is
-  available; on the pure-Python fallback the leg records its numbers and
-  the gate is skipped).  The numpy engine is timed alongside for the
-  recorded speedup ratio.
+  the generated-C provider is live; on the pure-Python provider the leg
+  records its numbers and the gate is skipped).
 * **Bounded memory** — a full 10^9-reference stream replays to
   completion in a subprocess whose peak RSS (``ru_maxrss``) stays under
   512 MB, demonstrating the O(chunk) streaming contract end to end:
@@ -61,13 +59,13 @@ from repro.cache import DirectMappedCache
 from repro.trace import StridedStream
 from repro.trace.replay import replay
 
-refs, stride, window, chunk, num_lines, backend = (
+refs, stride, window, chunk, num_lines = (
     int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3]),
-    int(sys.argv[4]), int(sys.argv[5]), sys.argv[6])
+    int(sys.argv[4]), int(sys.argv[5]))
 stream = StridedStream(refs, stride=stride, window=window, chunk=chunk)
 cache = DirectMappedCache(num_lines=num_lines, classify_misses=False)
 start = time.perf_counter()
-result = replay(stream, cache, backend=backend)
+result = replay(stream, cache, backend="compiled")
 seconds = time.perf_counter() - start
 print(json.dumps({
     "seconds": seconds,
@@ -79,12 +77,7 @@ print(json.dumps({
 """
 
 
-def _compiled_backend() -> str:
-    """The fastest engine actually available in this environment."""
-    return "compiled" if kernels.has_compiled_provider() else "numpy"
-
-
-def _time_replay(backend: str, reps: int = 2) -> dict:
+def _time_replay(reps: int = 2) -> dict:
     stream = StridedStream(
         THROUGHPUT_REFS, stride=STRIDE, window=WINDOW, chunk=CHUNK)
     best = float("inf")
@@ -92,10 +85,9 @@ def _time_replay(backend: str, reps: int = 2) -> dict:
     for _ in range(reps):
         cache = DirectMappedCache(num_lines=NUM_LINES, classify_misses=False)
         start = time.perf_counter()
-        result = replay(stream, cache, backend=backend)
+        result = replay(stream, cache, backend="compiled")
         best = min(best, time.perf_counter() - start)
     return {
-        "backend": backend,
         "refs": THROUGHPUT_REFS,
         "seconds": round(best, 4),
         "refs_per_sec": round(THROUGHPUT_REFS / best),
@@ -104,18 +96,13 @@ def _time_replay(backend: str, reps: int = 2) -> dict:
 
 
 def measure_throughput() -> dict:
-    """Time the numpy and compiled replay engines on the same stream."""
-    numpy_rec = _time_replay("numpy")
-    compiled_rec = _time_replay(_compiled_backend())
+    """Time the compiled replay engine on the stream."""
     return {
         "stride_words": STRIDE,
         "window_words": WINDOW,
         "chunk_refs": CHUNK,
         "cache_lines": NUM_LINES,
-        "numpy": numpy_rec,
-        "compiled": compiled_rec,
-        "compiled_vs_numpy": round(
-            numpy_rec["seconds"] / compiled_rec["seconds"], 2),
+        "compiled": _time_replay(),
         "floor_refs_per_sec": THROUGHPUT_FLOOR,
         "floor_enforced": not SMOKE and kernels.has_compiled_provider(),
     }
@@ -123,12 +110,11 @@ def measure_throughput() -> dict:
 
 def measure_streaming() -> dict:
     """Replay ``STREAM_REFS`` references in a child; assert bounded RSS."""
-    backend = _compiled_backend()
     window = WINDOW
     child = subprocess.run(
         [sys.executable, "-c", _CHILD_SCRIPT,
          str(STREAM_REFS), str(STRIDE), str(window), str(CHUNK),
-         str(NUM_LINES), backend],
+         str(NUM_LINES)],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
     )
@@ -141,7 +127,6 @@ def measure_streaming() -> dict:
             f"streaming replay covered {record['accesses']} of "
             f"{STREAM_REFS} references")
     return {
-        "backend": backend,
         "refs": STREAM_REFS,
         "window_words": window,
         "chunk_refs": CHUNK,

@@ -202,8 +202,9 @@ class Cache(ABC):
 
         The generic fallback loops over :meth:`set_of`; subclasses with an
         arithmetic index function override this with array expressions
-        (shift/mask for power-of-two indexing, chunked Mersenne folding
-        for the prime cache).
+        (shift/mask for power-of-two indexing, a modulo for the prime
+        cache).  Every batched engine, kernels included, indexes through
+        this one mapping.
         """
         set_of = self.set_of
         return np.fromiter(
@@ -212,33 +213,16 @@ class Cache(ABC):
             count=lines.size,
         )
 
-    def _replay_premapped_arrays(self, lines, sets, want_hits: bool,
-                                 backend: str):
-        """Closed-form replay of a read-only pre-mapped batch, if possible.
-
-        ``lines``/``sets`` are int64 arrays; ``backend`` is the caller's
-        resolved engine (``"numpy"``, or ``"compiled"`` when this
-        organisation has no kernel form of its own), for organisations
-        that delegate to inner caches.  Returns ``(hits, misses,
-        evictions, kind_counts, hits_array)`` — ``hits_array`` may be
-        ``None`` when ``want_hits`` is false — or ``None`` when no
-        vectorised replay applies, in which case :meth:`access_many`
-        falls back to the sequential :meth:`_replay_premapped` loop.
-        Only consulted for read-only batches with no per-access
-        miss-kind output.
-        """
-        return None
-
-    def _replay_compiled(self, lines, writes, want_hits: bool):
+    def _replay_compiled(self, lines, sets, writes, want_hits: bool):
         """Replay a pre-mapped batch through :mod:`repro.kernels`, if able.
 
-        ``lines`` is an int64 array, ``writes`` a bool array or ``None``.
-        Returns ``(hits, misses, evictions, hits_array or None)`` — set
-        mapping happens inside the kernel — or ``None`` when this
-        organisation has no kernel form (custom index function, random
-        replacement, active miss classifier), in which case
-        :meth:`access_many` falls back to the numpy path.  Only consulted
-        for ``backend="compiled"`` with no per-access kind output.
+        ``lines``/``sets`` are int64 arrays, ``writes`` a bool array or
+        ``None``.  Returns ``(hits, misses, evictions, hits_array or
+        None)``, or ``None`` when this organisation has no kernel form
+        (random replacement, active miss classifier, an N-way cache
+        without generated C), in which case :meth:`access_many` runs the
+        :meth:`_replay_premapped` loop.  Only consulted for
+        ``backend="compiled"`` with no per-access kind output.
         """
         return None
 
@@ -337,12 +321,11 @@ class Cache(ABC):
             return_kinds: also return per-access miss-kind codes
                 (:data:`MISS_KIND_CODES`; all zeros without a classifier).
             backend: ``"scalar"`` replays through the generic per-access
-                state machine, ``"numpy"`` uses the vectorised engines,
-                ``"compiled"`` dispatches to :mod:`repro.kernels` when the
-                organisation has a kernel form (falling back to numpy
-                otherwise).  ``None``/``"auto"`` takes
-                :func:`repro.kernels.default_backend`.  All three are
-                bit-for-bit equivalent.
+                state machine; ``"compiled"`` dispatches to
+                :mod:`repro.kernels` when the organisation has a kernel
+                form (falling back to the state machine otherwise).
+                ``None`` takes :func:`repro.kernels.default_backend`.
+                Both are bit-for-bit equivalent.
 
         Returns:
             A :class:`BatchResult` with this batch's stats delta.
@@ -385,9 +368,11 @@ class Cache(ABC):
             }
         else:
             lines = addrs >> self._offset_bits if self._offset_bits else addrs
+            sets = self._map_sets_batch(lines)
             compiled = (
                 self._replay_compiled(
-                    lines, writes_arr if writes_total else None, return_hits
+                    lines, sets, writes_arr if writes_total else None,
+                    return_hits,
                 )
                 if backend == "compiled" and kinds_out is None else None
             )
@@ -396,35 +381,13 @@ class Cache(ABC):
                 kind_counts = {kind: 0 for kind in MissKind}
                 if return_hits:
                     hits_out = hits_arr
-            elif backend == "scalar":
-                sets = self._map_sets_batch(lines)
+            else:
                 hit_count, miss_count, evictions, kind_counts = (
-                    Cache._replay_premapped(
-                        self, lines.tolist(), sets.tolist(), writes_list,
+                    self._replay_premapped(
+                        lines.tolist(), sets.tolist(), writes_list,
                         hits_out, kinds_out,
                     )
                 )
-            else:
-                sets = self._map_sets_batch(lines)
-                replay = (
-                    self._replay_premapped_arrays(
-                        lines, sets, return_hits, backend
-                    )
-                    if writes_list is None and kinds_out is None else None
-                )
-                if replay is not None:
-                    hit_count, miss_count, evictions, kind_counts, hits_arr = (
-                        replay
-                    )
-                    if return_hits:
-                        hits_out = hits_arr
-                else:
-                    hit_count, miss_count, evictions, kind_counts = (
-                        self._replay_premapped(
-                            lines.tolist(), sets.tolist(), writes_list,
-                            hits_out, kinds_out,
-                        )
-                    )
             stats = self.stats
             stats.accesses += n
             stats.hits += hit_count

@@ -89,10 +89,10 @@ def simulate_opt(
             prime-mapped geometry.
         line_size_words: words per line (power of two).
         backend: ``"scalar"`` runs the dict-based two-pass reference;
-            ``"numpy"`` vectorises the next-use precomputation; and
-            ``"compiled"`` additionally runs the simulation loop through
-            :mod:`repro.kernels` (falling back to numpy when the mapped
-            set indexes leave ``[0, num_sets)``).  All bit-for-bit equal;
+            ``"compiled"`` vectorises the next-use precomputation and
+            runs the simulation loop through :mod:`repro.kernels`
+            (falling back to the reference when a custom ``set_of``
+            leaves ``[0, num_sets)``).  Both are bit-for-bit equal;
             swept by the ``kernel-backend`` oracle.
 
     Example:
@@ -118,10 +118,7 @@ def simulate_opt(
     writes_total = int(write_flags.sum()) if write_flags is not None else 0
 
     result = BeladyResult()
-    if backend != "scalar":
-        # Vectorised next-use (stable-sort successor trick); sentinel
-        # ``n`` plays the role of the scalar path's infinity.
-        next_use_arr = kernels.belady_next_use(line_arr)
+    if backend == "compiled":
         if set_of is None:
             sets_arr = (
                 line_arr & (num_sets - 1)
@@ -133,42 +130,25 @@ def simulate_opt(
                 (set_of(line) for line in line_arr.tolist()),
                 dtype=np.int64, count=n,
             )
-        in_range = n == 0 or (
-            int(sets_arr.min()) >= 0 and int(sets_arr.max()) < num_sets
-        )
-        if backend == "compiled" and in_range:
+        if n == 0 or (int(sets_arr.min()) >= 0
+                      and int(sets_arr.max()) < num_sets):
+            # Vectorised next-use (stable-sort successor trick); sentinel
+            # ``n`` plays the role of the scalar path's infinity.
+            next_use = kernels.belady_next_use(line_arr)
             tags = np.full(num_sets * ways, -1, dtype=np.int64)
             nu = np.zeros(num_sets * ways, dtype=np.int64)
             ins = np.zeros(num_sets * ways, dtype=np.int64)
             hits, misses, evictions = kernels.belady_opt(
-                line_arr, sets_arr, next_use_arr, ways, tags, nu, ins,
+                line_arr, sets_arr, next_use, ways, tags, nu, ins,
             )
-        else:
-            hits = misses = evictions = 0
-            resident: dict[int, dict[int, int]] = defaultdict(dict)
-            lines = line_arr.tolist()
-            sets_list = sets_arr.tolist()
-            nu_list = next_use_arr.tolist()
-            for index, line in enumerate(lines):
-                content = resident[sets_list[index]]
-                if line in content:
-                    hits += 1
-                    content[line] = nu_list[index]
-                    continue
-                misses += 1
-                if len(content) >= ways:
-                    victim = max(content, key=content.__getitem__)
-                    del content[victim]
-                    evictions += 1
-                content[line] = nu_list[index]
-        stats = result.stats
-        stats.accesses = n
-        stats.hits = hits
-        stats.misses = misses
-        stats.reads = n - writes_total
-        stats.writes = writes_total
-        result.evictions = evictions
-        return result
+            stats = result.stats
+            stats.accesses = n
+            stats.hits = hits
+            stats.misses = misses
+            stats.reads = n - writes_total
+            stats.writes = writes_total
+            result.evictions = evictions
+            return result
 
     lines = line_arr.tolist()
     writes = (write_flags.tolist() if write_flags is not None

@@ -19,8 +19,8 @@ Composite geometry: the cache exposes one combined set-index space,
 scalar sets ``[0, scalar_sets)`` and vector sets offset by
 ``scalar_sets``, so the generic batched replay, statistics, and
 classifier machinery of :class:`repro.cache.base.Cache` apply
-unchanged.  The block-granular fast path partitions a batch by the
-routing mask and delegates each half's subsequence to that half's own
+unchanged.  The compiled replay partitions a batch by the routing mask
+and delegates each half's subsequence to that half's own
 ``access_many`` — legal because the halves share no state, so any
 interleaving of the two subsequences replays identically.
 """
@@ -32,7 +32,6 @@ import numpy as np
 from repro.cache.base import Cache
 from repro.cache.prime import PrimeMappedCache
 from repro.cache.set_assoc import SetAssociativeCache
-from repro.cache.stats import MissKind
 
 __all__ = ["BicameralCache"]
 
@@ -209,34 +208,32 @@ class BicameralCache(Cache):
         self.scalar.invalidate_all()
         self.vector.invalidate_all()
 
-    # -- block-granular fast path --------------------------------------------
+    # -- compiled replay: one kernel call per half --------------------------
 
-    def _replay_premapped_arrays(self, lines, sets, want_hits: bool,
-                                 backend: str):
-        # Split the read-only batch by half and hand each subsequence to
-        # that half's own batched engine on the caller's backend.  The
-        # halves share no state, so replaying them one after the other is
-        # bit-for-bit the interleaved sequential replay.  The halves' own
-        # ``stats`` see only batches routed this way — per-half metrics
-        # come from :meth:`vector_mask` instead.
+    def _replay_compiled(self, lines, sets, writes, want_hits: bool):
+        # Split the batch by half and hand each subsequence to that half's
+        # own compiled replay.  The halves share no state, so replaying
+        # them one after the other is bit-for-bit the interleaved
+        # sequential replay.  The halves' own ``stats`` see only batches
+        # routed this way — per-half metrics come from
+        # :meth:`vector_mask` instead.
         if self._classifier is not None:
             return None
         mask = sets >= self.boundary
-        scalar_side = ~mask
         hit_count = miss_count = evictions = 0
         hits_arr = np.empty(lines.size, dtype=bool) if want_hits else None
-        for half, side in ((self.scalar, scalar_side), (self.vector, mask)):
+        for half, side in ((self.scalar, ~mask), (self.vector, mask)):
             if not side.any():
                 continue
-            batch = half.access_many(lines[side], return_hits=want_hits,
-                                     backend=backend)
+            batch = half.access_many(
+                lines[side], None if writes is None else writes[side],
+                return_hits=want_hits, backend="compiled")
             hit_count += batch.delta.hits
             miss_count += batch.delta.misses
             evictions += batch.delta.evictions
             if want_hits:
                 hits_arr[side] = batch.hits
-        kind_counts = {kind: 0 for kind in MissKind}
-        return hit_count, miss_count, evictions, kind_counts, hits_arr
+        return hit_count, miss_count, evictions, hits_arr
 
     def describe(self) -> str:
         return (

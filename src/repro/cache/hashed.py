@@ -16,10 +16,9 @@ them, exactly per seed and statistically across seeds.
 The hash is a splitmix64-style finalizer (xor-shift / odd-constant
 multiply avalanche rounds) of the line address XOR a seed word.  It is
 deterministic, seedable, and vectorises to a handful of uint64 numpy
-ops, so the batched replay engines of :class:`SetAssociativeCache`
-apply unchanged.  There is no compiled-kernel index mode for it — the
-``backend="compiled"`` path falls back to the numpy replay, which the
-kernel-backend contract explicitly allows.
+ops in :meth:`HashedIndexCache._map_sets_batch`, whose ``sets`` array
+feeds the compiled replay kernels of :class:`SetAssociativeCache`
+unchanged.
 """
 
 from __future__ import annotations

@@ -109,14 +109,6 @@ class PrimeMappedCache(SetAssociativeCache):
         """Prime mapping: fold the line address modulo ``2^c - 1``."""
         return self.modulus.reduce(line_address)
 
-    def _kernel_set_mode(self) -> tuple[int, int] | None:
-        """Kernel indexing: Mersenne end-around-carry fold with ``param=c``
-        (mod ``2^c - 1`` without an integer divide in the inner loop)."""
-        if type(self).set_of is not PrimeMappedCache.set_of:
-            return None
-        from repro import kernels
-        return kernels.SET_MODE_MERSENNE, self.modulus.c
-
     def _map_sets_batch(self, lines: np.ndarray) -> np.ndarray:
         """Vectorised Mersenne folding over a whole line-address array.
 

@@ -50,13 +50,8 @@ from repro.cache.replacement import (
     ReplacementPolicy,
     make_policy,
 )
-from repro.cache.stats import MissKind
 
 __all__ = ["SetAssociativeCache"]
-
-# template for the (classifier-less) batched replay's zero kind counts;
-# copied per call so callers may own the returned dict
-_ZERO_KINDS = {kind: 0 for kind in MissKind}
 
 
 class SetAssociativeCache(Cache):
@@ -124,9 +119,6 @@ class SetAssociativeCache(Cache):
         self._mirror_dirty: np.ndarray | None = None
         self._mirror_ok = False
         self._dicts_stale = False
-        # scratch for the replay's duplicate-set test (content carries no
-        # meaning between calls; only same-call writes are read back)
-        self._replay_scratch: np.ndarray | None = None
 
     def set_of(self, line_address: int) -> int:
         """Conventional indexing: low bits of the line address."""
@@ -172,120 +164,29 @@ class SetAssociativeCache(Cache):
         }
         self._dirty = set(mirror[self._mirror_dirty].tolist())
 
-    def _replay_premapped_arrays(self, lines, sets, want_hits: bool,
-                                 backend: str):
-        # Read-only one-way replay in closed form: with a single way and
-        # no classifier, the set's content before access i is simply the
-        # line of the most recent earlier access to the same set (every
-        # access, hit or miss, leaves its own line resident).  A stable
-        # sort by set index makes that predecessor the previous element
-        # of each sort group, so the whole hit bitmap is one comparison,
-        # evaluated against the numpy residency mirror — no dict traffic.
-        if (
-            self.num_ways != 1
-            or self._classifier is not None
-            or not isinstance(self.policy, (LRUPolicy, FIFOPolicy))
-        ):
-            return None
-        n = lines.size
-        kind_counts = dict(_ZERO_KINDS)
-        if n == 0:
-            return 0, 0, 0, kind_counts, np.empty(0, dtype=bool)
-        mirror = self._load_mirror()
-        prev_unsorted = mirror[sets]
-        hits_vs_mirror = lines == prev_unsorted
-        if hits_vs_mirror.all():
-            # Every access matches current residency, so the sequential
-            # replay is all hits even with repeated sets (a repeat keeps
-            # re-installing the very same line) and no state changes —
-            # the steady-state sweep case, settled with no sort at all.
-            return (n, 0, 0, kind_counts,
-                    hits_vs_mirror if want_hits else None)
-        if self._replay_scratch is None:
-            self._replay_scratch = np.empty(self.num_sets, dtype=np.intp)
-        scratch = self._replay_scratch
-        idx = np.arange(n)
-        scratch[sets] = idx
-        if bool((scratch[sets] == idx).all()):
-            # No set repeats inside the batch (scatter-then-gather read
-            # every index back unchanged), so each access's predecessor is
-            # the mirror itself and the replay needs no sort at all.
-            hits = hits_vs_mirror
-            hit_count = int(np.count_nonzero(hits))
-            miss = ~hits
-            evictions = int(np.count_nonzero(miss & (prev_unsorted >= 0)))
-            mirror[sets] = lines
-            self._mirror_dirty[sets[miss]] = False
-            self._dicts_stale = True
-            return (hit_count, n - hit_count, evictions, kind_counts,
-                    hits if want_hits else None)
-        order = np.argsort(sets, kind="stable")
-        sorted_sets = sets[order]
-        sorted_lines = lines[order]
-        first = np.empty(n, dtype=bool)
-        first[0] = True
-        np.not_equal(sorted_sets[1:], sorted_sets[:-1], out=first[1:])
-        prev = np.empty(n, dtype=np.int64)
-        prev[1:] = sorted_lines[:-1]
-        prev[first] = mirror[sorted_sets[first]]
-        hits_sorted = sorted_lines == prev
-        hit_count = int(np.count_nonzero(hits_sorted))
-        miss_count = n - hit_count
-        evictions = int(np.count_nonzero(~hits_sorted & (prev >= 0)))
-        hits = None
-        if want_hits:
-            hits = np.empty(n, dtype=bool)
-            hits[order] = hits_sorted
-        if miss_count:
-            # The last access of each sort group leaves its line resident;
-            # a set's dirty mark survives only if the whole group hit
-            # (reads never dirty, and every miss installs a clean line).
-            last = np.empty(n, dtype=bool)
-            last[-1] = True
-            last[:-1] = first[1:]
-            group_missed = np.logical_or.reduceat(
-                ~hits_sorted, np.flatnonzero(first)
-            )
-            touched = sorted_sets[last]
-            mirror[touched] = sorted_lines[last]
-            self._mirror_dirty[touched[group_missed]] = False
-            self._dicts_stale = True
-        return hit_count, miss_count, evictions, kind_counts, hits
-
-    def _kernel_set_mode(self) -> tuple[int, int] | None:
-        """``(set_mode, set_param)`` for :mod:`repro.kernels`, or ``None``
-        when the subclass changed the index function without providing a
-        kernel form (the prime cache overrides this with the Mersenne
-        mode)."""
-        if type(self).set_of is not SetAssociativeCache.set_of:
-            return None
-        if self.num_sets & (self.num_sets - 1) == 0:
-            return kernels.SET_MODE_MASK, self.num_sets - 1
-        return kernels.SET_MODE_MOD, self.num_sets
-
-    def _replay_compiled(self, lines, writes, want_hits: bool):
-        mode = self._kernel_set_mode()
+    def _replay_compiled(self, lines, sets, writes, want_hits: bool):
         lru = isinstance(self.policy, LRUPolicy)
         if (
-            mode is None
-            or self._classifier is not None
+            self._classifier is not None
             or not (lru or isinstance(self.policy, FIFOPolicy))
         ):
             return None
-        set_mode, set_param = mode
         hits_arr = np.empty(lines.size, dtype=bool) if want_hits else None
         if self.num_ways == 1:
             # The kernel advances the numpy residency mirror in place, so
             # chunked streaming pays no per-call state rebuild; the dicts
-            # go stale exactly as after the closed-form numpy replay.
-            current = self._load_mirror()
+            # go stale until a scalar-path reader syncs them back.
             h, m, e = kernels.replay_oneway(
-                lines, writes, set_mode, set_param, self.write_allocate,
-                current, self._mirror_dirty, hits_arr,
+                lines, sets, writes, self.write_allocate,
+                self._load_mirror(), self._mirror_dirty, hits_arr,
             )
             if m or writes is not None:
                 self._dicts_stale = True
             return h, m, e, hits_arr
+        if not kernels.has_compiled_provider():
+            # Without generated C the per-set dict loop beats a Python
+            # kernel over flattened [set, way] arrays.
+            return None
         # N-way: flatten the filled sets into [set, way] arrays (stamp =
         # position in the set's dict + 1, so the minimum stamp is the
         # first entry == the policy victim), run the kernel, then rebuild
@@ -307,8 +208,8 @@ class SetAssociativeCache(Cache):
         stamps[slots] = positions
         dirty[slots] = [line in self._dirty for line in resident_lines]
         h, m, e, _ = kernels.replay_assoc(
-            lines, writes, set_mode, set_param, num_ways,
-            self.write_allocate, lru, num_ways + 1,
+            lines, sets, writes, num_ways, self.write_allocate, lru,
+            num_ways + 1,
             tags, stamps, dirty, hits_arr,
         )
         # Sorting a set's ways by stamp recovers its recency order:
@@ -335,53 +236,6 @@ class SetAssociativeCache(Cache):
                 holes[set_index] = free
         self._holes = holes
         return h, m, e, hits_arr
-
-    def _replay_premapped(self, lines, sets, writes, hits_out, kinds_out):
-        # Direct-mapped fast path: with one way, no classifier and a
-        # deterministic (state-inert at 1 way) replacement policy, the
-        # whole access state machine collapses to "is the set's current
-        # line this line" — run it over plain lists drawn from the numpy
-        # mirror, which it leaves current like the other one-way paths.
-        if (
-            self.num_ways != 1
-            or self._classifier is not None
-            or kinds_out is not None
-            or not isinstance(self.policy, (LRUPolicy, FIFOPolicy))
-        ):
-            self._sync_dicts()
-            return super()._replay_premapped(
-                lines, sets, writes, hits_out, kinds_out
-            )
-        mirror = self._load_mirror()
-        current = mirror.tolist()
-        dirty = self._mirror_dirty.tolist()
-        hit_count = miss_count = evictions = 0
-        write_allocate = self.write_allocate
-        append = hits_out.append if hits_out is not None else None
-        for i in range(len(lines)):
-            line = lines[i]
-            set_index = sets[i]
-            write = writes is not None and writes[i]
-            if current[set_index] == line:
-                hit_count += 1
-                if write:
-                    dirty[set_index] = True
-                if append is not None:
-                    append(True)
-            else:
-                miss_count += 1
-                if not write or write_allocate:
-                    if current[set_index] >= 0:
-                        evictions += 1
-                    current[set_index] = line
-                    dirty[set_index] = write
-                if append is not None:
-                    append(False)
-        touched = list(set(sets))
-        mirror[touched] = [current[s] for s in touched]
-        self._mirror_dirty[touched] = [dirty[s] for s in touched]
-        self._dicts_stale = True
-        return hit_count, miss_count, evictions, dict(_ZERO_KINDS)
 
     def _lookup(self, line_address: int, set_index: int) -> bool:
         if self._dicts_stale:

@@ -248,11 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_backend_flag(command: argparse.ArgumentParser) -> None:
     command.add_argument(
-        "--backend", default=None,
-        choices=("scalar", "numpy", "compiled", "auto"),
+        "--backend", default=None, choices=("scalar", "compiled"),
         help="kernel backend for replay/timing engines (default: "
-             "$REPRO_BACKEND or numpy; 'auto' picks compiled when a "
-             "numba/C provider is available)")
+             "$REPRO_BACKEND or compiled; scalar runs the per-access "
+             "reference state machines)")
 
 
 def _apply_backend(args) -> None:
@@ -349,12 +348,10 @@ def _backend_banner() -> str:
     from repro import kernels
 
     info = kernels.backend_info()
-    if info["compiled_provider"] == "numba":
-        compiled = f"numba {info['numba']}"
-    elif info["compiled_provider"] == "cext":
+    if info["compiled_provider"] == "cext":
         compiled = info["compiled_detail"]
     else:
-        compiled = "fallback: numpy (no numba, no C compiler)"
+        compiled = "fallback: pure-Python reference (no C compiler)"
     return (f"kernel backend: {info['default_backend']} "
             f"(compiled provider: {compiled})")
 

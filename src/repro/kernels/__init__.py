@@ -1,33 +1,32 @@
-"""Optional compiled kernels behind the ``backend`` knob.
+"""Compiled kernels behind the ``backend`` knob.
 
 Every stateful hot loop in the simulator — the per-set residency update
 of :meth:`repro.cache.base.Cache.access_many`, the MM/CC trace-timing
-loops, the strip-level paired-load engine, and Belady OPT — exists in
-three interchangeable implementations:
+loops, the strip-level paired-load engine, and Belady OPT — has two
+engines:
 
-* ``"scalar"`` — the per-access reference state machines (slow, simple,
-  the ground truth);
-* ``"numpy"`` — the vectorised/flat-local engines that have carried the
-  repository since the batching era (the default);
-* ``"compiled"`` — the kernels in this package, dispatched to the first
-  available *provider*: Numba ``@njit`` (install ``repro[compiled]``),
-  else a generated-C extension built with the system compiler
-  (:mod:`repro.kernels.cext`), else the pure-Python reference
-  (:mod:`repro.kernels.reference`) so the knob never breaks.
+* ``"scalar"`` — the per-access object-model state machines (slow,
+  simple, the reference every oracle compares against);
+* ``"compiled"`` — the kernels in this package (the default), run by the
+  first available *provider*: a generated-C extension built with the
+  system compiler (:mod:`repro.kernels.cext`), else the pure-Python
+  provider (:mod:`repro.kernels.reference`), which takes the fastest
+  Python form of each loop so a host without a compiler loses little.
 
-The three backends are bit-for-bit equivalent on every counter and cycle
+The two backends are bit-for-bit equivalent on every counter and cycle
 total; the ``kernel-backend`` oracle of :mod:`repro.verify` sweeps them
-against each other, and a mutation-fault target proves the sweep has
-teeth.  Select per call (``backend=...``), per process
+against each other, and mutation faults prove the sweep has teeth.
+Select per call (``backend=...``), per process
 (:func:`set_default_backend`), or per environment (``REPRO_BACKEND`` =
-``scalar``/``numpy``/``compiled``/``auto``; ``auto`` picks ``compiled``
-exactly when a real provider — not the reference fallback — is live).
-``REPRO_KERNEL_PROVIDER`` (``numba``/``cext``/``reference``) pins the
-provider for tests and benchmarks.
+``scalar``/``compiled``).  ``REPRO_KERNEL_PROVIDER`` (``cext``/
+``reference``) pins the provider for tests and benchmarks.
 
-Call sites go through the module-level functions below (``from repro
-import kernels; kernels.replay_oneway(...)``) so the verify subsystem can
-monkey-patch a fault into the compiled path regardless of provider.
+Kernels receive every reference already mapped: the replay kernels take
+the cache's ``sets`` array, the timing kernels the interleave scheme's
+``banks`` array.  Call sites go through the module-level functions below
+(``from repro import kernels; kernels.replay_oneway(...)``) so the
+verify subsystem can monkey-patch a fault into the compiled path
+regardless of provider.
 """
 
 from __future__ import annotations
@@ -51,109 +50,76 @@ __all__ = [
     "pair_flat",
     "belady_next_use",
     "belady_opt",
-    "SET_MODE_MASK",
-    "SET_MODE_MOD",
-    "SET_MODE_MERSENNE",
 ]
 
 #: legal values of the ``backend`` knob
-BACKENDS = ("scalar", "numpy", "compiled")
-
-#: set-index function selectors shared with the providers
-SET_MODE_MASK = 0
-SET_MODE_MOD = 1
-SET_MODE_MERSENNE = 2
+BACKENDS = ("scalar", "compiled")
 
 _default: str | None = None       # resolved lazily from REPRO_BACKEND
 _provider = None                  # resolved lazily, cached for the process
-_provider_resolved = False
 
 
 # -- backend selection -------------------------------------------------------
 
 
 def default_backend() -> str:
-    """The process default backend (``REPRO_BACKEND``, else ``"numpy"``)."""
+    """The process default backend (``REPRO_BACKEND``, else ``"compiled"``)."""
     global _default
     if _default is None:
         env = os.environ.get("REPRO_BACKEND", "").strip().lower()
-        _default = env or "numpy"
-        if _default not in BACKENDS + ("auto",):
-            value, _default = _default, "numpy"
+        _default = env or "compiled"
+        if _default not in BACKENDS:
+            value, _default = _default, "compiled"
             raise ValueError(
-                f"REPRO_BACKEND={value!r} is not one of "
-                f"{BACKENDS + ('auto',)}"
-            )
-    if _default == "auto":
-        return "compiled" if has_compiled_provider() else "numpy"
+                f"REPRO_BACKEND={value!r} is not one of {BACKENDS}")
     return _default
 
 
 def set_default_backend(backend: str | None) -> None:
     """Set the process default backend; ``None`` re-reads ``REPRO_BACKEND``."""
     global _default
-    if backend is not None and backend not in BACKENDS + ("auto",):
+    if backend is not None and backend not in BACKENDS:
         raise ValueError(
-            f"backend must be one of {BACKENDS + ('auto',)}, got {backend!r}"
-        )
+            f"backend must be one of {BACKENDS}, got {backend!r}")
     _default = backend
 
 
 def resolve_backend(backend: str | None) -> str:
-    """Normalise a ``backend`` argument: ``None``/``"auto"`` -> the default."""
-    if backend is None or backend == "auto":
+    """Normalise a ``backend`` argument: ``None`` -> the default."""
+    if backend is None:
         return default_backend()
     if backend not in BACKENDS:
         raise ValueError(
-            f"backend must be one of {BACKENDS + ('auto',)}, got {backend!r}"
-        )
+            f"backend must be one of {BACKENDS}, got {backend!r}")
     return backend
 
 
 # -- provider resolution -----------------------------------------------------
 
 
-def _load_provider(name: str):
-    if name == "numba":
-        from repro.kernels import numba_backend
-        return numba_backend.load()
-    if name == "cext":
-        from repro.kernels import cext
-        return cext.load()
-    if name == "reference":
-        from repro.kernels import reference
-        return reference
-    raise ValueError(
-        f"REPRO_KERNEL_PROVIDER must be numba/cext/reference, got {name!r}"
-    )
-
-
 def _resolve_provider():
-    """First usable provider, cached: numba > generated C > reference."""
-    global _provider, _provider_resolved
-    if _provider_resolved:
+    """First usable provider, cached: generated C, else the reference."""
+    global _provider
+    if _provider is not None:
         return _provider
     forced = os.environ.get("REPRO_KERNEL_PROVIDER", "").strip().lower()
-    order = [forced] if forced else ["numba", "cext", "reference"]
+    if forced not in ("", "cext", "reference"):
+        raise ValueError(
+            f"REPRO_KERNEL_PROVIDER must be cext/reference, got {forced!r}")
     provider = None
-    for name in order:
-        try:
-            provider = _load_provider(name)
-        except ImportError:
-            provider = None
-        if provider is not None:
-            break
+    if forced != "reference":
+        from repro.kernels import cext
+        provider = cext.load()
     if provider is None:
         from repro.kernels import reference
         provider = reference
     _provider = provider
-    _provider_resolved = True
     return provider
 
 
 def has_compiled_provider() -> bool:
-    """Whether a *real* compiled provider (numba or C) is live, i.e. the
-    ``compiled`` backend is more than the pure-Python reference."""
+    """Whether generated C is live, i.e. the ``compiled`` backend runs
+    native kernels rather than the pure-Python provider."""
     return _resolve_provider().name != "reference"
 
 
@@ -165,19 +131,13 @@ def provider_info() -> dict:
 
 def backend_info() -> dict:
     """Everything ``repro check`` and the bench JSONs report about the
-    kernel configuration: active default backend, compiled provider, and
-    the numba version (or the fallback reason)."""
+    kernel configuration: active default backend and compiled provider,
+    plus why generated C is not live when it is not."""
     provider = _resolve_provider()
-    try:
-        import numba
-        numba_version = numba.__version__
-    except ImportError:
-        numba_version = None
     info = {
         "default_backend": default_backend(),
         "compiled_provider": provider.name,
         "compiled_detail": provider.detail,
-        "numba": numba_version,
     }
     if provider.name != "cext":
         from repro.kernels import cext
@@ -208,48 +168,47 @@ def _u8(arr) -> np.ndarray | None:
 # -- kernel entry points (the mutation-patchable dispatch surface) -----------
 
 
-def replay_oneway(lines, writes, set_mode, set_param, write_allocate,
-                  current, dirty, hits_out):
+def replay_oneway(lines, sets, writes, write_allocate, current, dirty,
+                  hits_out):
     """One-way residency replay (see :mod:`repro.kernels.reference`)."""
     return _resolve_provider().replay_oneway(
-        _i64(lines), _u8(writes), int(set_mode), int(set_param),
-        int(bool(write_allocate)), current, _u8(dirty), _u8(hits_out),
+        _i64(lines), _i64(sets), _u8(writes), int(bool(write_allocate)),
+        current, _u8(dirty), _u8(hits_out),
     )
 
 
-def replay_assoc(lines, writes, set_mode, set_param, num_ways,
-                 write_allocate, lru, tick, tags, stamps, dirty, hits_out):
+def replay_assoc(lines, sets, writes, num_ways, write_allocate, lru, tick,
+                 tags, stamps, dirty, hits_out):
     """N-way LRU/FIFO replay (see :mod:`repro.kernels.reference`)."""
     return _resolve_provider().replay_assoc(
-        _i64(lines), _u8(writes), int(set_mode), int(set_param),
-        int(num_ways), int(bool(write_allocate)), int(bool(lru)), int(tick),
+        _i64(lines), _i64(sets), _u8(writes), int(num_ways),
+        int(bool(write_allocate)), int(bool(lru)), int(tick),
         tags, stamps, _u8(dirty), _u8(hits_out),
     )
 
 
-def mm_timing(addresses, writes, mask, t_m, free_at, counts, state):
+def mm_timing(banks, writes, t_m, free_at, counts, state):
     """MM-machine timing loop (see :mod:`repro.kernels.reference`)."""
     _resolve_provider().mm_timing(
-        _i64(addresses), _u8(writes), int(mask), int(t_m),
-        free_at, counts, state,
+        _i64(banks), _u8(writes), int(t_m), free_at, counts, state,
     )
 
 
-def cc_timing(addresses, writes, hits, kinds, mask, mem_t_m, cc_t_m,
-              compulsory, free_at, counts, state):
+def cc_timing(banks, writes, hits, kinds, mem_t_m, cc_t_m, compulsory,
+              free_at, counts, state):
     """CC-machine timing loop (see :mod:`repro.kernels.reference`)."""
     _resolve_provider().cc_timing(
-        _i64(addresses), _u8(writes), _u8(hits), _u8(kinds), int(mask),
-        int(mem_t_m), int(cc_t_m), int(compulsory), free_at, counts, state,
+        _i64(banks), _u8(writes), _u8(hits), _u8(kinds), int(mem_t_m),
+        int(cc_t_m), int(compulsory), free_at, counts, state,
     )
 
 
-def pair_flat(a1, a2, h1, h2, paired, mvl, overhead, t_m, pen1, pen2,
-              mask, free_at, counts, state):
+def pair_flat(b1, b2, h1, h2, paired, mvl, overhead, t_m, pen1, pen2,
+              free_at, counts, state):
     """Paired-load strip engine (see :mod:`repro.kernels.reference`)."""
     _resolve_provider().pair_flat(
-        _i64(a1), _i64(a2), _u8(h1), _u8(h2), int(paired), int(mvl),
-        int(overhead), int(t_m), int(pen1), int(pen2), int(mask),
+        _i64(b1), _i64(b2), _u8(h1), _u8(h2), int(paired), int(mvl),
+        int(overhead), int(t_m), int(pen1), int(pen2),
         free_at, counts, state,
     )
 

@@ -1,19 +1,17 @@
 """Generated-C kernel provider: compile once with the system C compiler.
 
-When Numba is not installed (the seed environment ships without it), the
-compiled backend can still run at native speed: the hot loops below are a
-single C translation unit, built on first use with whatever ``cc``/``gcc``/
-``clang`` the host provides and bound through :mod:`ctypes`.  The shared
-object is cached under ``~/.cache/repro/kernels`` (override with
-``REPRO_KERNEL_CACHE``) keyed by a hash of the source, so the build cost is
-paid once per source revision, not per process.
+The hot loops below are a single C translation unit, built on first use
+with whatever ``cc``/``gcc``/``clang`` the host provides and bound
+through :mod:`ctypes`.  The shared object is cached under
+``~/.cache/repro/kernels`` (override with ``REPRO_KERNEL_CACHE``) keyed by
+a hash of the source, so the build cost is paid once per source
+revision, not per process.
 
-Every entry point mirrors, statement for statement, a Python reference
-loop in :mod:`repro.kernels.reference`; the ``kernel-backend`` oracle of
-:mod:`repro.verify` sweeps the two (plus the numpy engines) bit-for-bit.
-Any failure here — no compiler, build error, load error, self-test
-mismatch — makes :func:`load` return ``None`` and the dispatcher falls
-back gracefully.
+Every entry point mirrors a kernel of :mod:`repro.kernels.reference`,
+which documents the contract; ``tests/kernels/test_provider_parity.py``
+pins the two element for element.  Any failure here — no compiler,
+build error, load error, self-test mismatch — makes :func:`load` return
+``None`` and the dispatcher falls back to the reference provider.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -32,37 +31,18 @@ __all__ = ["load", "build_error"]
 _SOURCE = r"""
 #include <stdint.h>
 
-/* Set-index function shared by the replay kernels.
- * mode 0: power-of-two sets, param = num_sets - 1 (mask)
- * mode 1: generic modulo, param = num_sets
- * mode 2: Mersenne fold, param = c where num_sets = 2^c - 1 (the prime
- *         cache's end-around-carry congruence; avoids the hardware-hostile
- *         64-bit divide in the inner loop)
- */
-static inline int64_t map_set(int64_t line, int64_t mode, int64_t param) {
-    if (mode == 0)
-        return line & param;
-    if (mode == 2) {
-        int64_t v = (((int64_t)1) << param) - 1;
-        int64_t x = line;
-        while (x > v)
-            x = (x & v) + (x >> param);
-        return x == v ? 0 : x;
-    }
-    return line % param;
-}
-
-/* One-way (direct/prime-mapped) residency replay over the numpy mirror:
- * current[s] is the resident line of set s (-1 empty), dirty[s] its dirty
- * bit.  writes/hits_out may be NULL.  out = {hits, misses, evictions}. */
-void repro_replay_oneway(const int64_t *lines, const uint8_t *writes,
-                         int64_t n, int64_t set_mode, int64_t set_param,
+/* One-way (direct/prime-mapped) residency replay: sets[i] is the set of
+ * lines[i], current[s] the resident line of set s (-1 empty), dirty[s]
+ * its dirty bit.  writes/hits_out may be NULL.
+ * out = {hits, misses, evictions}. */
+void repro_replay_oneway(const int64_t *lines, const int64_t *sets,
+                         const uint8_t *writes, int64_t n,
                          int64_t write_allocate, int64_t *current,
                          uint8_t *dirty, uint8_t *hits_out, int64_t *out) {
     int64_t hits = 0, misses = 0, evictions = 0;
     for (int64_t i = 0; i < n; i++) {
         int64_t line = lines[i];
-        int64_t s = map_set(line, set_mode, set_param);
+        int64_t s = sets[i];
         int wr = writes != 0 && writes[i];
         int hit = current[s] == line;
         if (hit) {
@@ -90,15 +70,15 @@ void repro_replay_oneway(const int64_t *lines, const uint8_t *writes,
  * resident line (-1 empty), stamps[s*W+w] the recency/insertion stamp
  * (LRU updates it on hits too, FIFO only on fills; victim = min stamp),
  * dirty[s*W+w] the dirty bit.  out = {hits, misses, evictions, tick}. */
-void repro_replay_assoc(const int64_t *lines, const uint8_t *writes,
-                        int64_t n, int64_t set_mode, int64_t set_param,
-                        int64_t num_ways, int64_t write_allocate, int64_t lru,
-                        int64_t tick, int64_t *tags, int64_t *stamps,
-                        uint8_t *dirty, uint8_t *hits_out, int64_t *out) {
+void repro_replay_assoc(const int64_t *lines, const int64_t *sets,
+                        const uint8_t *writes, int64_t n, int64_t num_ways,
+                        int64_t write_allocate, int64_t lru, int64_t tick,
+                        int64_t *tags, int64_t *stamps, uint8_t *dirty,
+                        uint8_t *hits_out, int64_t *out) {
     int64_t hits = 0, misses = 0, evictions = 0;
     for (int64_t i = 0; i < n; i++) {
         int64_t line = lines[i];
-        int64_t base = map_set(line, set_mode, set_param) * num_ways;
+        int64_t base = sets[i] * num_ways;
         int wr = writes != 0 && writes[i];
         int64_t way = -1;
         for (int64_t w = 0; w < num_ways; w++) {
@@ -148,19 +128,18 @@ void repro_replay_assoc(const int64_t *lines, const uint8_t *writes,
     out[3] = tick;
 }
 
-/* MM-machine per-access timing loop (trace_runner._run_uncached inner
- * loop) for low-order interleave (bank = address & mask).  state =
+/* MM-machine per-access timing loop over precomputed banks.  state =
  * {cycle, bank_stall, write_stall, reads, writes_seen, last_read0,
  *  last_read1, last_write}; free_at/counts are per-bank, all in/out. */
-void repro_mm_timing(const int64_t *addr, const uint8_t *writes, int64_t n,
-                     int64_t mask, int64_t t_m, int64_t *free_at,
-                     int64_t *counts, int64_t *state) {
+void repro_mm_timing(const int64_t *banks, const uint8_t *writes, int64_t n,
+                     int64_t t_m, int64_t *free_at, int64_t *counts,
+                     int64_t *state) {
     int64_t cycle = state[0], bank_stall = state[1], write_stall = state[2];
     int64_t reads = state[3], writes_seen = state[4];
     int64_t last_read0 = state[5], last_read1 = state[6];
     int64_t last_write = state[7];
     for (int64_t i = 0; i < n; i++) {
-        int64_t bank = addr[i] & mask;
+        int64_t bank = banks[i];
         int64_t ready = free_at[bank];
         int64_t stall = ready > cycle ? ready - cycle : 0;
         free_at[bank] = cycle + stall + t_m;
@@ -190,16 +169,15 @@ void repro_mm_timing(const int64_t *addr, const uint8_t *writes, int64_t n,
     state[7] = last_write;
 }
 
-/* CC-machine per-access timing loop (trace_runner._run_cached inner loop):
- * hits/kinds come from the cache probe, only misses touch the banks, and
- * compulsory misses (kinds[i] == compulsory) pipeline without the t_m
- * penalty.  state = {cycle, cache_hits, misses, bank_stall, conflicts,
- * writes_seen, last_read0, last_read1, last_write}. */
-void repro_cc_timing(const int64_t *addr, const uint8_t *writes,
+/* CC-machine per-access timing loop: hits/kinds come from the cache
+ * probe, only read misses touch the banks, and compulsory misses
+ * (kinds[i] == compulsory) pipeline without the t_m penalty.  state =
+ * {cycle, cache_hits, misses, bank_stall, conflicts, writes_seen,
+ *  last_read0, last_read1, last_write}. */
+void repro_cc_timing(const int64_t *banks, const uint8_t *writes,
                      const uint8_t *hits, const uint8_t *kinds, int64_t n,
-                     int64_t mask, int64_t mem_t_m, int64_t cc_t_m,
-                     int64_t compulsory, int64_t *free_at, int64_t *counts,
-                     int64_t *state) {
+                     int64_t mem_t_m, int64_t cc_t_m, int64_t compulsory,
+                     int64_t *free_at, int64_t *counts, int64_t *state) {
     int64_t cycle = state[0], cache_hits = state[1], misses = state[2];
     int64_t bank_stall = state[3], conflicts = state[4];
     int64_t writes_seen = state[5];
@@ -217,7 +195,7 @@ void repro_cc_timing(const int64_t *addr, const uint8_t *writes,
             cycle += 1;
             continue;
         }
-        int64_t bank = addr[i] & mask;
+        int64_t bank = banks[i];
         int64_t ready = free_at[bank];
         int64_t stall = ready > cycle ? ready - cycle : 0;
         free_at[bank] = cycle + stall + mem_t_m;
@@ -246,14 +224,15 @@ void repro_cc_timing(const int64_t *addr, const uint8_t *writes,
     state[8] = last_write;
 }
 
-/* Strip-level paired-load engine (vector_machine._run_pair_flat inner
- * loop) for low-order interleave.  h1/h2 may be NULL (cacheless stream).
- * state = {cycle, bank_stall, miss_penalty, accesses, n_strips}. */
-void repro_pair_flat(const int64_t *a1, const int64_t *a2, const uint8_t *h1,
+/* Strip-level engine for a load pair whose streams both touch memory.
+ * b1/b2 are the streams' banks, h1/h2 their hit flags (NULL on a
+ * cacheless machine).  state = {cycle, bank_stall, miss_penalty,
+ * accesses, n_strips}. */
+void repro_pair_flat(const int64_t *b1, const int64_t *b2, const uint8_t *h1,
                      const uint8_t *h2, int64_t n1, int64_t paired,
                      int64_t mvl, int64_t overhead, int64_t t_m, int64_t pen1,
-                     int64_t pen2, int64_t mask, int64_t *free_at,
-                     int64_t *counts, int64_t *state) {
+                     int64_t pen2, int64_t *free_at, int64_t *counts,
+                     int64_t *state) {
     int64_t cycle = state[0], bank_stall = state[1];
     int64_t miss_penalty = state[2], accesses = state[3];
     int64_t n_strips = state[4];
@@ -264,7 +243,7 @@ void repro_pair_flat(const int64_t *a1, const int64_t *a2, const uint8_t *h1,
         for (int64_t k = strip; k < end; k++) {
             int64_t stall = 0;
             if (h1 == 0 || !h1[k]) {
-                int64_t bank = a1[k] & mask;
+                int64_t bank = b1[k];
                 int64_t ready = free_at[bank];
                 int64_t wait = ready > cycle ? ready - cycle : 0;
                 free_at[bank] = cycle + wait + t_m;
@@ -275,7 +254,7 @@ void repro_pair_flat(const int64_t *a1, const int64_t *a2, const uint8_t *h1,
                 miss_penalty += pen1;
             }
             if (k < paired && (h2 == 0 || !h2[k])) {
-                int64_t bank = a2[k] & mask;
+                int64_t bank = b2[k];
                 int64_t ready = free_at[bank];
                 int64_t wait = ready > cycle ? ready - cycle : 0;
                 free_at[bank] = cycle + wait + t_m;
@@ -298,8 +277,7 @@ void repro_pair_flat(const int64_t *a1, const int64_t *a2, const uint8_t *h1,
 /* Belady OPT simulation loop over precomputed sets and next-use indexes.
  * tags/nu/ins are flattened [num_sets x num_ways] state: resident line
  * (-1 empty), its next-use index, and its insertion stamp.  Victim = the
- * way with the farthest next use; ties go to the earliest-inserted way,
- * matching dict-iteration order of the scalar reference.
+ * way with the farthest next use; ties go to the earliest-inserted way.
  * out = {hits, misses, evictions}. */
 void repro_belady_opt(const int64_t *lines, const int64_t *sets,
                       const int64_t *next_use, int64_t n, int64_t num_ways,
@@ -348,35 +326,22 @@ void repro_belady_opt(const int64_t *lines, const int64_t *sets,
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
 _U8 = ctypes.POINTER(ctypes.c_uint8)
+_N = ctypes.c_int64
 
 # argtype tables for the exported entry points
 _SIGNATURES = {
-    "repro_replay_oneway": [
-        _I64, _U8, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int64, _I64, _U8, _U8, _I64,
-    ],
+    "repro_replay_oneway": [_I64, _I64, _U8, _N, _N, _I64, _U8, _U8, _I64],
     "repro_replay_assoc": [
-        _I64, _U8, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        _I64, _I64, _U8, _U8, _I64,
+        _I64, _I64, _U8, _N, _N, _N, _N, _N, _I64, _I64, _U8, _U8, _I64,
     ],
-    "repro_mm_timing": [
-        _I64, _U8, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        _I64, _I64, _I64,
-    ],
+    "repro_mm_timing": [_I64, _U8, _N, _N, _I64, _I64, _I64],
     "repro_cc_timing": [
-        _I64, _U8, _U8, _U8, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int64, ctypes.c_int64, _I64, _I64, _I64,
+        _I64, _U8, _U8, _U8, _N, _N, _N, _N, _I64, _I64, _I64,
     ],
     "repro_pair_flat": [
-        _I64, _I64, _U8, _U8, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int64, _I64, _I64, _I64,
+        _I64, _I64, _U8, _U8, _N, _N, _N, _N, _N, _N, _N, _I64, _I64, _I64,
     ],
-    "repro_belady_opt": [
-        _I64, _I64, _I64, ctypes.c_int64, ctypes.c_int64,
-        _I64, _I64, _I64, _I64,
-    ],
+    "repro_belady_opt": [_I64, _I64, _I64, _N, _N, _I64, _I64, _I64, _I64],
 }
 
 _build_error: str | None = None
@@ -425,47 +390,45 @@ class _CExtProvider:
             fn.argtypes = argtypes
             fn.restype = None
 
-    def replay_oneway(self, lines, writes, set_mode, set_param,
-                      write_allocate, current, dirty, hits_out):
+    def replay_oneway(self, lines, sets, writes, write_allocate, current,
+                      dirty, hits_out):
         out = np.zeros(3, dtype=np.int64)
         self._lib.repro_replay_oneway(
-            _i64(lines), _u8(writes), lines.size, set_mode, set_param,
+            _i64(lines), _i64(sets), _u8(writes), lines.size,
             int(write_allocate), _i64(current), _u8(dirty), _u8(hits_out),
             _i64(out),
         )
         return int(out[0]), int(out[1]), int(out[2])
 
-    def replay_assoc(self, lines, writes, set_mode, set_param, num_ways,
-                     write_allocate, lru, tick, tags, stamps, dirty,
-                     hits_out):
+    def replay_assoc(self, lines, sets, writes, num_ways, write_allocate,
+                     lru, tick, tags, stamps, dirty, hits_out):
         out = np.zeros(4, dtype=np.int64)
         self._lib.repro_replay_assoc(
-            _i64(lines), _u8(writes), lines.size, set_mode, set_param,
-            num_ways, int(write_allocate), int(lru), tick, _i64(tags),
-            _i64(stamps), _u8(dirty), _u8(hits_out), _i64(out),
+            _i64(lines), _i64(sets), _u8(writes), lines.size, num_ways,
+            int(write_allocate), int(lru), tick, _i64(tags), _i64(stamps),
+            _u8(dirty), _u8(hits_out), _i64(out),
         )
         return int(out[0]), int(out[1]), int(out[2]), int(out[3])
 
-    def mm_timing(self, addresses, writes, mask, t_m, free_at, counts,
-                  state):
+    def mm_timing(self, banks, writes, t_m, free_at, counts, state):
         self._lib.repro_mm_timing(
-            _i64(addresses), _u8(writes), addresses.size, mask, t_m,
-            _i64(free_at), _i64(counts), _i64(state),
+            _i64(banks), _u8(writes), banks.size, t_m, _i64(free_at),
+            _i64(counts), _i64(state),
         )
 
-    def cc_timing(self, addresses, writes, hits, kinds, mask, mem_t_m,
-                  cc_t_m, compulsory, free_at, counts, state):
+    def cc_timing(self, banks, writes, hits, kinds, mem_t_m, cc_t_m,
+                  compulsory, free_at, counts, state):
         self._lib.repro_cc_timing(
-            _i64(addresses), _u8(writes), _u8(hits), _u8(kinds),
-            addresses.size, mask, mem_t_m, cc_t_m, compulsory,
-            _i64(free_at), _i64(counts), _i64(state),
+            _i64(banks), _u8(writes), _u8(hits), _u8(kinds), banks.size,
+            mem_t_m, cc_t_m, compulsory, _i64(free_at), _i64(counts),
+            _i64(state),
         )
 
-    def pair_flat(self, a1, a2, h1, h2, paired, mvl, overhead, t_m, pen1,
-                  pen2, mask, free_at, counts, state):
+    def pair_flat(self, b1, b2, h1, h2, paired, mvl, overhead, t_m, pen1,
+                  pen2, free_at, counts, state):
         self._lib.repro_pair_flat(
-            _i64(a1), _i64(a2), _u8(h1), _u8(h2), a1.size, paired, mvl,
-            overhead, t_m, pen1, pen2, mask, _i64(free_at), _i64(counts),
+            _i64(b1), _i64(b2), _u8(h1), _u8(h2), b1.size, paired, mvl,
+            overhead, t_m, pen1, pen2, _i64(free_at), _i64(counts),
             _i64(state),
         )
 
@@ -481,20 +444,38 @@ class _CExtProvider:
 def _self_test(provider: _CExtProvider) -> bool:
     """Tiny known-answer probe guarding against ABI/build breakage."""
     lines = np.array([0, 8, 0, 8, 3], dtype=np.int64)
+    sets = lines & 7
     current = np.full(8, -1, dtype=np.int64)
     dirty = np.zeros(8, dtype=np.uint8)
     hits_out = np.empty(5, dtype=np.uint8)
     # direct-mapped, 8 sets: 0 and 8 thrash set 0; expected outcomes
     # miss, miss(evict), miss(evict), miss(evict), miss
     result = provider.replay_oneway(
-        lines, None, 0, 7, 1, current, dirty, hits_out)
+        lines, sets, None, 1, current, dirty, hits_out)
     return (result == (0, 5, 3)
             and hits_out.tolist() == [0, 0, 0, 0, 0]
             and current[0] == 8 and current[3] == 3)
 
 
+def _bind(path: Path, compiler: str) -> _CExtProvider | None:
+    """Load and self-test one shared object; ``None`` when it fails."""
+    global _build_error
+    provider = _CExtProvider(ctypes.CDLL(str(path)), compiler)
+    if not _self_test(provider):
+        _build_error = "compiled kernel failed its known-answer self-test"
+        return None
+    return provider
+
+
 def load() -> _CExtProvider | None:
-    """Build (if needed) and bind the C kernels; ``None`` on any failure."""
+    """Build (if needed) and bind the C kernels; ``None`` on any failure.
+
+    Each process compiles its own copy of the source in a private build
+    directory, loads and self-tests the result, and only then moves the
+    shared object into the cache with an atomic ``os.replace``.  Processes
+    racing on an empty cache therefore never compile a source another
+    process is rewriting, and a bad build never enters the cache.
+    """
     global _build_error
     try:
         compiler = _find_compiler()
@@ -504,27 +485,33 @@ def load() -> _CExtProvider | None:
         digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
         cache_dir = _cache_dir()
         lib_path = cache_dir / f"reprokernels-{digest}.so"
-        if not lib_path.exists():
+        if lib_path.exists():
+            provider = _bind(lib_path, compiler)
+        else:
             cache_dir.mkdir(parents=True, exist_ok=True)
-            src_path = cache_dir / f"reprokernels-{digest}.c"
-            src_path.write_text(_SOURCE)
-            tmp_path = cache_dir / f"reprokernels-{digest}.{os.getpid()}.tmp.so"
-            proc = subprocess.run(
-                [compiler, "-O3", "-fPIC", "-shared",
-                 "-o", str(tmp_path), str(src_path)],
-                capture_output=True, text=True, timeout=120,
-            )
-            if proc.returncode != 0:
-                _build_error = f"{compiler} failed: {proc.stderr.strip()[:500]}"
-                tmp_path.unlink(missing_ok=True)
-                return None
-            os.replace(tmp_path, lib_path)
-        provider = _CExtProvider(ctypes.CDLL(str(lib_path)), compiler)
-        if not _self_test(provider):
-            _build_error = "compiled kernel failed its known-answer self-test"
-            return None
-        _build_error = None
+            build_dir = Path(tempfile.mkdtemp(
+                prefix=f"reprokernels-{digest}.", dir=cache_dir))
+            try:
+                src_path = build_dir / "kernels.c"
+                obj_path = build_dir / "kernels.so"
+                src_path.write_text(_SOURCE)
+                proc = subprocess.run(
+                    [compiler, "-O3", "-fPIC", "-shared",
+                     "-o", str(obj_path), str(src_path)],
+                    capture_output=True, text=True, timeout=120,
+                )
+                if proc.returncode != 0:
+                    _build_error = (f"{compiler} failed: "
+                                    f"{proc.stderr.strip()[:500]}")
+                    return None
+                provider = _bind(obj_path, compiler)
+                if provider is not None:
+                    os.replace(obj_path, lib_path)
+            finally:
+                shutil.rmtree(build_dir, ignore_errors=True)
+        if provider is not None:
+            _build_error = None
         return provider
-    except Exception as exc:  # no compiler infra may not exist at all
+    except Exception as exc:  # the compiler toolchain may be missing or broken
         _build_error = f"{type(exc).__name__}: {exc}"
         return None

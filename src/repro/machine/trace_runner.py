@@ -28,21 +28,11 @@ from repro.cache.base import MISS_KIND_CODES
 from repro.cache.stats import MissKind
 from repro.machine.report import ExecutionReport
 from repro.machine.vector_machine import CCMachine, MMMachine, VectorMachine
-from repro.memory.banks import LowOrderInterleave
 from repro.trace.records import Trace
 
 __all__ = ["run_trace", "compare_machines_on_trace"]
 
 _COMPULSORY = MISS_KIND_CODES[MissKind.COMPULSORY]
-
-
-def _kernel_bank_mask(memory) -> int | None:
-    """Bank mask for the compiled timing kernels, or ``None`` when the
-    interleave scheme is not plain low-order (prime/skewed ablations run
-    on the numpy engines instead)."""
-    if type(memory.scheme) is LowOrderInterleave:
-        return memory.num_banks - 1
-    return None
 
 
 def run_trace(
@@ -56,33 +46,28 @@ def run_trace(
     distinction drives the stall rule.
 
     ``backend`` selects the timing engine: ``"scalar"`` replays per access
-    through the bus/bank objects, ``"numpy"`` runs the flat-local chunk
-    loops, ``"compiled"`` runs the :mod:`repro.kernels` timing kernels
-    (falling back to numpy when the interleave scheme has no kernel
-    form).  All engines stream ``trace.iter_blocks`` chunk by chunk —
-    peak memory is O(chunk) — and produce identical reports; the
-    ``kernel-backend`` oracle sweeps them against each other.
+    through the bus/bank objects, ``"compiled"`` runs the
+    :mod:`repro.kernels` timing kernels over each chunk's banks (any
+    interleave scheme, mapped through ``bank_of_batch``).  Both engines
+    stream ``trace.iter_blocks`` chunk by chunk — peak memory is
+    O(chunk) — and produce identical reports; the ``kernel-backend``
+    oracle sweeps them against each other.
     """
     backend = kernels.resolve_backend(backend)
     machine.reset()
     report = ExecutionReport()
     start = machine._cycle
 
-    mask = _kernel_bank_mask(machine.memory)
     if isinstance(machine, CCMachine):
-        if backend == "scalar":
+        if (backend == "scalar"
+                or getattr(machine.cache, "access_many", None) is None):
             _run_cached_scalar(machine, trace, report)
-        elif backend == "compiled" and mask is not None:
-            _run_cached_compiled(machine, trace, report, mask)
         else:
-            _run_cached(machine, trace, report, backend)
+            _run_cached_compiled(machine, trace, report)
+    elif backend == "scalar":
+        _run_uncached_scalar(machine, trace, report)
     else:
-        if backend == "scalar":
-            _run_uncached_scalar(machine, trace, report)
-        elif backend == "compiled" and mask is not None:
-            _run_uncached_compiled(machine, trace, report, mask)
-        else:
-            _run_uncached(machine, trace, report)
+        _run_uncached_compiled(machine, trace, report)
 
     report.cycles = machine._cycle - start
     report.elements = len(trace)
@@ -90,70 +75,11 @@ def run_trace(
     return report
 
 
-def _run_uncached(machine: MMMachine, trace: Trace,
-                  report: ExecutionReport) -> None:
-    # Flat-local transcription of the per-access rules: the loop carries
-    # the clock, bank state, and bus/stat counters in locals across the
-    # trace's sealed chunks and writes them back once.  Because the clock
-    # strictly increases between bus requests, read grants alternate
-    # read0/read1 and no request ever waits, so the bus writeback is a
-    # pure counter update.
-    mem = machine.memory
-    bank_of = mem.scheme.bank_of
-    free = mem._bank_free_at
-    t_m = mem.access_time
-    bank_counts = mem.stats._bank_counts
-    cycle = machine._cycle
-    bank_stall = 0
-    write_stall = 0
-    reads = 0
-    writes_seen = 0
-    last_read = [0, 0]
-    last_write = 0
-    for chunk, chunk_writes in trace.iter_blocks():
-        address_list = chunk.tolist()
-        write_list = (chunk_writes.tolist()
-                      if chunk_writes is not None else None)
-        for i, address in enumerate(address_list):
-            bank = bank_of(address)
-            ready = free[bank]
-            stall = ready - cycle if ready > cycle else 0
-            free[bank] = cycle + stall + t_m
-            bank_counts[bank] += 1
-            if write_list is not None and write_list[i]:
-                # buffered: the stall delays the bank, never the clock
-                write_stall += stall
-                writes_seen += 1
-                last_write = cycle
-                cycle += 1
-            else:
-                bank_stall += stall
-                last_read[reads & 1] = cycle
-                reads += 1
-                cycle += 1 + stall
-    report.bank_stall_cycles += bank_stall
-    machine._cycle = cycle
-    stats = mem.stats
-    stats.accesses += reads + writes_seen
-    stats.stall_cycles += bank_stall + write_stall
-    bus0, bus1 = machine.buses.read_buses
-    bus0.transfers += (reads + 1) // 2
-    bus1.transfers += reads // 2
-    if reads:
-        bus0._next_free = max(bus0._next_free, last_read[0] + 1)
-    if reads > 1:
-        bus1._next_free = max(bus1._next_free, last_read[1] + 1)
-    write_bus = machine.buses.write_bus
-    write_bus.transfers += writes_seen
-    if writes_seen:
-        write_bus._next_free = max(write_bus._next_free, last_write + 1)
-
-
 def _run_uncached_scalar(machine: MMMachine, trace: Trace,
                          report: ExecutionReport) -> None:
     """Per-access MM reference: every reference goes through the bus and
-    bank objects one at a time (the ground truth the flat and compiled
-    engines are swept against)."""
+    bank objects one at a time (the ground truth the compiled engine is
+    swept against)."""
     mem = machine.memory
     for access in trace:
         cycle = machine._cycle
@@ -169,17 +95,24 @@ def _run_uncached_scalar(machine: MMMachine, trace: Trace,
 
 
 def _run_uncached_compiled(machine: MMMachine, trace: Trace,
-                           report: ExecutionReport, mask: int) -> None:
+                           report: ExecutionReport) -> None:
     """MM timing through :func:`repro.kernels.mm_timing`; bank state and
-    the clock/counter state persist in int64 arrays across chunks."""
+    the clock/counter state persist in int64 arrays across chunks.
+
+    Because the clock strictly increases between bus requests, read
+    grants alternate read0/read1 and no request ever waits, so the bus
+    writeback is a pure counter update from the kernel's state.
+    """
     mem = machine.memory
+    bank_of_batch = mem.scheme.bank_of_batch
     free = np.asarray(mem._bank_free_at, dtype=np.int64)
     counts = np.zeros(mem.num_banks, dtype=np.int64)
     state = np.zeros(8, dtype=np.int64)
     state[0] = machine._cycle
     t_m = mem.access_time
     for addresses, writes in trace.iter_blocks():
-        kernels.mm_timing(addresses, writes, mask, t_m, free, counts, state)
+        kernels.mm_timing(bank_of_batch(addresses), writes, t_m, free,
+                          counts, state)
     (cycle, bank_stall, write_stall, reads, writes_seen,
      last_read0, last_read1, last_write) = state.tolist()
     mem._bank_free_at = free.tolist()
@@ -203,19 +136,19 @@ def _run_uncached_compiled(machine: MMMachine, trace: Trace,
 
 
 def _run_cached_compiled(machine: CCMachine, trace: Trace,
-                         report: ExecutionReport, mask: int) -> None:
+                         report: ExecutionReport) -> None:
     """CC timing through :func:`repro.kernels.cc_timing`.
 
-    Each chunk's probe sequence still runs through the cache's batched
-    path (the three-C classifier the stall rule needs is a dict shadow,
-    so probes use the numpy engines); the per-access timing loop over the
-    probe outcomes is the compiled part.
+    The cache's state evolution does not depend on the clock, so each
+    chunk's probe sequence runs through the cache's batched path up
+    front (the three-C classifier the stall rule needs is a dict shadow,
+    so classified probes take the cache's state-machine loop); the
+    per-access timing loop over the probe outcomes is the kernel.  Only
+    misses touch the banks and the read buses.
     """
     mem = machine.memory
-    access_many = getattr(machine.cache, "access_many", None)
-    if access_many is None:
-        _run_cached_scalar(machine, trace, report)
-        return
+    access_many = machine.cache.access_many
+    bank_of_batch = mem.scheme.bank_of_batch
     t_m = machine.config.t_m
     free = np.asarray(mem._bank_free_at, dtype=np.int64)
     counts = np.zeros(mem.num_banks, dtype=np.int64)
@@ -225,8 +158,8 @@ def _run_cached_compiled(machine: CCMachine, trace: Trace,
     for addresses, writes in trace.iter_blocks():
         batch = access_many(addresses, writes, return_hits=True,
                             return_kinds=True, backend="compiled")
-        kernels.cc_timing(addresses, writes, batch.hits, batch.miss_kinds,
-                          mask, mem_t_m, t_m, _COMPULSORY,
+        kernels.cc_timing(bank_of_batch(addresses), writes, batch.hits,
+                          batch.miss_kinds, mem_t_m, t_m, _COMPULSORY,
                           free, counts, state)
     (cycle, cache_hits, misses, bank_stall, conflicts, writes_seen,
      last_read0, last_read1, last_write) = state.tolist()
@@ -253,91 +186,10 @@ def _run_cached_compiled(machine: CCMachine, trace: Trace,
         write_bus._next_free = max(write_bus._next_free, last_write + 1)
 
 
-def _run_cached(machine: CCMachine, trace: Trace,
-                report: ExecutionReport, backend: str | None = None) -> None:
-    t_m = machine.config.t_m
-    access_many = getattr(machine.cache, "access_many", None)
-    if access_many is None:
-        _run_cached_scalar(machine, trace, report)
-        return
-    # The cache's state evolution does not depend on the clock, so each
-    # chunk's probe sequence can run on the batched path up front (chunks
-    # stream zero-copy off the trace's columnar store, in order); the
-    # timing loop then only touches the banks on misses.
-    # Flat-local transcription of the per-access rules (see
-    # ``_run_uncached``): only misses touch the banks and the read buses,
-    # hits and buffered writes just tick the clock, and the strictly
-    # increasing clock means no bus request ever waits.  The locals
-    # persist across chunks, so chunking does not change the timing.
-    mem = machine.memory
-    bank_of = mem.scheme.bank_of
-    free = mem._bank_free_at
-    mem_t_m = mem.access_time
-    bank_counts = mem.stats._bank_counts
-    cycle = machine._cycle
-    cache_hits = 0
-    misses = 0
-    bank_stall = 0
-    conflicts = 0
-    last_read = [0, 0]
-    writes_seen = 0
-    last_write = 0
-    for addresses, writes in trace.iter_blocks():
-        batch = access_many(addresses, writes,
-                            return_hits=True, return_kinds=True,
-                            backend=backend)
-        hits = batch.hits.tolist()
-        kinds = batch.miss_kinds.tolist()
-        address_list = addresses.tolist()
-        write_list = writes.tolist() if writes is not None else None
-        for i, address in enumerate(address_list):
-            if write_list is not None and write_list[i]:
-                writes_seen += 1
-                last_write = cycle
-                cycle += 1
-                continue
-            if hits[i]:
-                cache_hits += 1
-                cycle += 1
-                continue
-            bank = bank_of(address)
-            ready = free[bank]
-            stall = ready - cycle if ready > cycle else 0
-            free[bank] = cycle + stall + mem_t_m
-            bank_counts[bank] += 1
-            bank_stall += stall
-            last_read[misses & 1] = cycle
-            misses += 1
-            if kinds[i] == _COMPULSORY:
-                # initial loading pipelines: only the bank conflict shows
-                cycle += 1 + stall
-            else:
-                conflicts += 1
-                cycle += 1 + stall + t_m
-    report.cache_hits += cache_hits
-    report.cache_misses += misses
-    report.bank_stall_cycles += bank_stall
-    report.miss_stall_cycles += t_m * conflicts
-    machine._cycle = cycle
-    stats = mem.stats
-    stats.accesses += misses
-    stats.stall_cycles += bank_stall
-    bus0, bus1 = machine.buses.read_buses
-    bus0.transfers += (misses + 1) // 2
-    bus1.transfers += misses // 2
-    if misses:
-        bus0._next_free = max(bus0._next_free, last_read[0] + 1)
-    if misses > 1:
-        bus1._next_free = max(bus1._next_free, last_read[1] + 1)
-    write_bus = machine.buses.write_bus
-    write_bus.transfers += writes_seen
-    if writes_seen:
-        write_bus._next_free = max(write_bus._next_free, last_write + 1)
-
-
 def _run_cached_scalar(machine: CCMachine, trace: Trace,
                        report: ExecutionReport) -> None:
-    """Per-access reference path for caches without ``access_many``."""
+    """Per-access CC reference, also used for caches without
+    ``access_many``."""
     t_m = machine.config.t_m
     for access in trace:
         result = machine.cache.access(access.address, write=access.write)

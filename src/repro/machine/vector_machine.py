@@ -25,9 +25,9 @@ Timing rules (Section 3.1):
   ``t_m`` component of its start-up (Eq. (4)).
 
 Both machines execute loads and stores through a vectorised strip-level
-timing engine by default; ``fast_path=False`` selects the per-element
-scalar reference loop, which the engine reproduces bit-for-bit.  The
-engine consumes the op stream in chunks of at most :data:`CHUNK_REFS`
+timing engine by default; ``backend="scalar"`` selects the per-element
+reference loop, which the engine reproduces bit-for-bit.  The engine
+consumes the op stream in chunks of at most :data:`CHUNK_REFS`
 load references and probes each chunk's cache outcomes with one
 ``access_many`` call (:meth:`VectorMachine._run_chunk`).  Consecutive
 single-stream loads that cannot stall on themselves form a run timed
@@ -52,11 +52,7 @@ from repro.machine.ops import (
     VectorStore,
 )
 from repro.machine.report import ExecutionReport
-from repro.memory.banks import (
-    InterleavedMemory,
-    InterleaveScheme,
-    LowOrderInterleave,
-)
+from repro.memory.banks import InterleavedMemory, InterleaveScheme
 from repro.memory.bus import BusSet
 from repro.memory.write_buffer import WriteBuffer
 
@@ -123,21 +119,15 @@ class VectorMachine:
             attaches a finite :class:`~repro.memory.write_buffer.WriteBuffer`
             of that depth, so store streams that out-run the banks push
             back on the pipeline (``report.store_stall_cycles``).
-        fast_path: run loads/stores through the vectorised strip-level
-            timing engine whenever a batched mode applies (the default).
-            ``False`` forces the per-element scalar reference loop; the
-            two paths produce bit-for-bit identical
-            :class:`~repro.machine.report.ExecutionReport` accounting
-            (enforced by a Hypothesis property test and swept by the
-            ``machine-timing`` oracle of :mod:`repro.verify`).
         backend: timing-engine selection, resolved once at construction
-            (``None``/``"auto"`` take :func:`repro.kernels.default_backend`).
-            ``"scalar"`` forces the per-element reference loop (implies
-            ``fast_path=False``); ``"numpy"`` is the vectorised strip
-            engine; ``"compiled"`` additionally runs the both-streams-
-            touch-memory pair loop through :mod:`repro.kernels` (falling
-            back to numpy off low-order interleave).  All bit-for-bit
-            equivalent.
+            (``None`` takes :func:`repro.kernels.default_backend`).
+            ``"compiled"`` runs loads and stores through the vectorised
+            strip-level engine, whose both-streams-touch-memory pair loop
+            is a :mod:`repro.kernels` call; ``"scalar"`` runs the
+            per-element reference loop.  The two produce bit-for-bit
+            identical :class:`~repro.machine.report.ExecutionReport`
+            accounting (enforced by a Hypothesis property test and swept
+            by the ``machine-timing`` oracle of :mod:`repro.verify`).
     """
 
     def __init__(
@@ -147,13 +137,12 @@ class VectorMachine:
         *,
         memory: InterleavedMemory | None = None,
         write_buffer_depth: int | None = None,
-        fast_path: bool = True,
         backend: str | None = None,
     ) -> None:
         self.config = config
         self._backend = kernels.resolve_backend(backend)
-        if self._backend == "scalar":
-            fast_path = False
+        # whether loads and stores take the strip-level engine
+        self._batched = self._backend == "compiled"
         if memory is not None:
             self.memory = memory
         else:
@@ -164,7 +153,6 @@ class VectorMachine:
                         bus=self.buses.write_bus)
             if write_buffer_depth is not None else None
         )
-        self.fast_path = fast_path
         self._cycle = 0
         # memo of _run_key's bank-period test: (stride, length) -> whether
         # a pipelined load of that shape can never stall on itself
@@ -241,7 +229,7 @@ class VectorMachine:
         if add_loop_overhead:
             self._cycle += self.config.loop_overhead
             report.overhead_cycles += self.config.loop_overhead
-        if self.fast_path and self._probes_in_batches:
+        if self._batched and self._probes_in_batches:
             for chunk in _chunks(operations):
                 self._run_chunk(chunk, report)
         else:
@@ -579,8 +567,8 @@ class VectorMachine:
         caller runs the scalar reference loop.  Modes, in dispatch order:
 
         * both streams of a pair touch memory (every MM-machine pair; CC
-          pairs where both streams miss) → :meth:`_run_pair_flat`, an
-          exact flat loop with the per-element machinery hoisted;
+          pairs where both streams miss) → :meth:`_run_pair_flat`, one
+          kernel call;
         * no stream touches memory (CC all-hit op) → O(1) per strip;
         * one active stream with a contiguous all-miss prefix, pipelined
           misses and a bank period below ``t_m`` (a load that stalls on
@@ -717,11 +705,11 @@ class VectorMachine:
         hits_second,
         report: ExecutionReport,
     ) -> None:
-        """Exact flat-loop engine for pairs where both streams touch memory.
+        """Exact engine for pairs where both streams touch memory.
 
-        Replicates the scalar reference cycle-for-cycle with the
-        interpreter overhead hoisted: bank state, hit flags and counters
-        live in locals, the per-element ``MemoryReply`` allocation and bus
+        One :func:`repro.kernels.pair_flat` call replicates the scalar
+        reference cycle-for-cycle over the two streams' banks and hit
+        flags: the per-element ``MemoryReply`` allocation and bus
         steering are bypassed, and stats/bus grants are claimed in one
         batch at the end.
         """
@@ -733,65 +721,22 @@ class VectorMachine:
         paired = min(n1, second.length)
         pen1 = t_m if (hits_first is not None and first.expect_cached) else 0
         pen2 = t_m if (hits_second is not None and second.expect_cached) else 0
-        if (self._backend == "compiled"
-                and type(self.memory.scheme) is LowOrderInterleave):
-            mem = self.memory
-            free_arr = np.asarray(mem._bank_free_at, dtype=np.int64)
-            counts_arr = np.zeros(mem.num_banks, dtype=np.int64)
-            state = np.zeros(5, dtype=np.int64)
-            state[0] = cycle
-            kernels.pair_flat(
-                addr_first, addr_second, hits_first, hits_second,
-                paired, mvl, overhead, t_m, pen1, pen2,
-                mem.num_banks - 1, free_arr, counts_arr, state,
-            )
-            cycle, bank_stall, miss_penalty, accesses, n_strips = (
-                state.tolist()
-            )
-            mem._bank_free_at = free_arr.tolist()
-            mem.stats.accesses += accesses
-            mem.stats.stall_cycles += bank_stall
-            mem.stats._bank_counts_batched += counts_arr
-        else:
-            bank_of = self.memory.scheme.bank_of
-            free = self.memory._bank_free_at
-            a1 = addr_first.tolist()
-            a2 = addr_second.tolist()
-            h1 = hits_first.tolist() if hits_first is not None else None
-            h2 = hits_second.tolist() if hits_second is not None else None
-            counts: dict[int, int] = {}
-            bank_stall = 0
-            miss_penalty = 0
-            accesses = 0
-            n_strips = 0
-            for strip_start in range(0, n1, mvl):
-                n_strips += 1
-                cycle += overhead
-                for k in range(strip_start, min(strip_start + mvl, n1)):
-                    stall = 0
-                    if h1 is None or not h1[k]:
-                        bank = bank_of(a1[k])
-                        ready = free[bank]
-                        wait = ready - cycle if ready > cycle else 0
-                        free[bank] = cycle + wait + t_m
-                        counts[bank] = counts.get(bank, 0) + 1
-                        accesses += 1
-                        bank_stall += wait
-                        stall = wait + pen1
-                        miss_penalty += pen1
-                    if k < paired and (h2 is None or not h2[k]):
-                        bank = bank_of(a2[k])
-                        ready = free[bank]
-                        wait = ready - cycle if ready > cycle else 0
-                        free[bank] = cycle + wait + t_m
-                        counts[bank] = counts.get(bank, 0) + 1
-                        accesses += 1
-                        bank_stall += wait
-                        stall += wait + pen2
-                        miss_penalty += pen2
-                    cycle += 1 + stall
-            self.memory._record_batch(counts.keys(), counts.values(),
-                                      accesses, bank_stall)
+        mem = self.memory
+        bank_of_batch = mem.scheme.bank_of_batch
+        free_arr = np.asarray(mem._bank_free_at, dtype=np.int64)
+        counts_arr = np.zeros(mem.num_banks, dtype=np.int64)
+        state = np.zeros(5, dtype=np.int64)
+        state[0] = cycle
+        kernels.pair_flat(
+            bank_of_batch(addr_first), bank_of_batch(addr_second),
+            hits_first, hits_second, paired, mvl, overhead, t_m, pen1, pen2,
+            free_arr, counts_arr, state,
+        )
+        cycle, bank_stall, miss_penalty, accesses, n_strips = state.tolist()
+        mem._bank_free_at = free_arr.tolist()
+        mem.stats.accesses += accesses
+        mem.stats.stall_cycles += bank_stall
+        mem.stats._bank_counts_batched += counts_arr
         report.overhead_cycles += n_strips * overhead
         report.bank_stall_cycles += bank_stall
         report.miss_stall_cycles += miss_penalty
@@ -810,7 +755,7 @@ class VectorMachine:
 
     def _run_store(self, op: VectorStore, report: ExecutionReport) -> None:
         if self.write_buffer is not None:
-            if self.fast_path:
+            if self._batched:
                 stall, cycle = self.write_buffer.store_many(
                     op.address_array(), self._cycle
                 )
@@ -826,7 +771,7 @@ class VectorMachine:
             return
         # the paper's assumption: buffered, never stalls — one store per
         # cycle, so the whole stream is a closed-form bank-queue update
-        if self.fast_path and self.buses.write_bus._next_free <= self._cycle:
+        if self._batched and self.buses.write_bus._next_free <= self._cycle:
             self.memory.service_writes(op.address_array(), self._cycle,
                                        stride=op.stride)
             self.buses.write_bus.claim_batch(op.length, self._cycle + op.length)
@@ -902,11 +847,10 @@ class CCMachine(VectorMachine):
         start_registers: bool = True,
         start_recalc_cycles: int = 2,
         write_buffer_depth: int | None = None,
-        fast_path: bool = True,
         backend: str | None = None,
     ) -> None:
         super().__init__(config, scheme, write_buffer_depth=write_buffer_depth,
-                         fast_path=fast_path, backend=backend)
+                         backend=backend)
         self.cache = cache
         if start_recalc_cycles < 0:
             raise ValueError("start_recalc_cycles must be non-negative")

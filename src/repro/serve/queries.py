@@ -85,17 +85,14 @@ def vcm_batch_view(inputs: dict, *, order: list[int]) -> list[dict]:
 
 def trace_query(*, kind: str = "strided", base: int = 0, stride: int = 8,
                 length: int = 4096, sweeps: int = 1, c: int = 13,
-                organisation: str = "prime", t_m: int = 32,
-                backend: str = "numpy") -> dict:
+                organisation: str = "prime", t_m: int = 32) -> dict:
     """Replay one synthetic trace spec through one cache organisation.
 
     ``kind`` currently supports ``"strided"`` (the paper's canonical
     access pattern); the spec is deliberately a strict, validated schema
-    so that identical requests normalise to identical cache keys.
-    ``backend`` selects the replay engine
-    (``"scalar"``/``"numpy"``/``"compiled"``) and is part of the cache
-    key like every other parameter; the three produce identical
-    statistics, so the knob only trades replay speed.
+    so that identical requests normalise to identical cache keys.  The
+    replay runs on the worker's default backend; every backend gives the
+    same statistics, so the engine is not part of the key.
     """
     from repro.cache import (
         DirectMappedCache,
@@ -116,15 +113,10 @@ def trace_query(*, kind: str = "strided", base: int = 0, stride: int = 8,
     if organisation not in factories:
         raise ValueError(f"organisation must be one of {sorted(factories)}, "
                          f"got {organisation!r}")
-    if backend not in ("scalar", "numpy", "compiled", "auto"):
-        raise ValueError("backend must be scalar/numpy/compiled/auto, "
-                         f"got {backend!r}")
     trace = strided(base, stride, length, sweeps=sweeps)
-    result = replay(trace, factories[organisation](), t_m=t_m,
-                    backend=backend)
+    result = replay(trace, factories[organisation](), t_m=t_m)
     return {
         "kind": kind,
-        "backend": backend,
         "organisation": organisation,
         "label": result.label,
         "c": c,

@@ -88,10 +88,10 @@ def replay(
     from the distinct lines the trace touches (see the module docstring).
 
     ``backend`` selects the :meth:`~repro.cache.base.Cache.access_many`
-    replay engine (``"scalar"``/``"numpy"``/``"compiled"``; ``None`` takes
-    :func:`repro.kernels.default_backend`).  The three are bit-for-bit
-    equivalent; peak memory stays O(chunk) on every one of them because
-    the trace is consumed block by block.
+    replay engine (``"scalar"``/``"compiled"``; ``None`` takes
+    :func:`repro.kernels.default_backend`).  The two are bit-for-bit
+    equivalent; peak memory stays O(chunk) on both because the trace is
+    consumed block by block.
     """
     cache.reset()
     access_many = getattr(cache, "access_many", None)

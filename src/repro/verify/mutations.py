@@ -177,12 +177,12 @@ def _kernel_write_allocate_dropped():
 
     original = kernels.replay_oneway
 
-    def bad_replay_oneway(lines, writes, set_mode, set_param,
-                          write_allocate, current, dirty, hits_out):
+    def bad_replay_oneway(lines, sets, writes, write_allocate, current,
+                          dirty, hits_out):
         # the compiled one-way replay kernel "forgets" the write-allocate
         # policy and treats every store miss as no-allocate
-        return original(lines, writes, set_mode, set_param, False,
-                        current, dirty, hits_out)
+        return original(lines, sets, writes, False, current, dirty,
+                        hits_out)
 
     with _patched(kernels, "replay_oneway", bad_replay_oneway):
         yield

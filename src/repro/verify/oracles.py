@@ -10,8 +10,9 @@ geometry law):
   fast path against the scalar :meth:`~repro.cache.base.Cache.access`
   state machine, per access and per statistic.
 * ``machine-timing`` — the vectorised strip-level timing engine
-  (``fast_path=True``) against the per-element scalar machine loop,
-  bit-for-bit over the full :class:`~repro.machine.report.ExecutionReport`.
+  (``backend="compiled"``) against the per-element scalar machine loop
+  (``backend="scalar"``), bit-for-bit over the full
+  :class:`~repro.machine.report.ExecutionReport`.
 * ``analytical-vs-simulated`` — the analytical CC/MM stall formulas
   against executable caches and banks: exact number-theoretic laws for
   fixed strides, statistical tolerances for the stochastic VCM grid.
@@ -22,8 +23,8 @@ geometry law):
 * ``trace-columnar`` — the block-granular (columnar) trace generators and
   workload kernels against the retained per-reference scalar paths,
   addresses and write flags bit-for-bit.
-* ``kernel-backend`` — the three replay/timing/Belady engines
-  (``backend="scalar"``/``"numpy"``/``"compiled"``, the last through
+* ``kernel-backend`` — the two replay/timing/Belady engines
+  (``backend="scalar"`` and ``"compiled"``, the latter through
   :mod:`repro.kernels`) against each other, bit-for-bit across cache
   statistics, per-access outcomes, machine reports and bank state.
 * ``analytical-batched`` — the vectorised surrogate engine
@@ -71,7 +72,12 @@ from repro.machine.ops import LoadPair, VectorCompute, VectorLoad, VectorStore
 from repro.machine.vector_machine import CCMachine, MMMachine
 from repro.machine.vcm_driver import VCMDriver
 from repro.analytical.vcm import VCM
-from repro.memory.banks import InterleavedMemory
+from repro.memory.banks import (
+    InterleavedMemory,
+    LowOrderInterleave,
+    PrimeInterleave,
+    SkewedInterleave,
+)
 
 __all__ = ["Oracle", "ORACLES", "Divergence", "default_oracles"]
 
@@ -266,7 +272,7 @@ _REPORT_FIELDS = (
 )
 
 
-def _make_case_machine(config: dict, fast_path: bool):
+def _make_case_machine(config: dict, backend: str):
     machine_config = MachineConfig(
         num_banks=config["banks"],
         memory_access_time=config["t_m"],
@@ -275,7 +281,7 @@ def _make_case_machine(config: dict, fast_path: bool):
     depth = config["write_buffer_depth"]
     if config["machine"] == "mm":
         return MMMachine(machine_config, write_buffer_depth=depth,
-                         fast_path=fast_path)
+                         backend=backend)
     if config["machine"] == "cc-direct":
         cache = DirectMappedCache(num_lines=config["lines"])
     else:
@@ -283,7 +289,7 @@ def _make_case_machine(config: dict, fast_path: bool):
         machine_config = machine_config.with_(
             cache_lines=cache.total_lines)
     return CCMachine(machine_config, cache, write_buffer_depth=depth,
-                     fast_path=fast_path)
+                     backend=backend)
 
 
 def _case_ops(config: dict):
@@ -341,8 +347,8 @@ def _machine_timing_cases(mode: str, rng: random.Random) -> list[dict]:
 
 
 def _check_machine_timing(config: dict) -> list[Divergence]:
-    fast = _make_case_machine(config, fast_path=True)
-    slow = _make_case_machine(config, fast_path=False)
+    fast = _make_case_machine(config, "compiled")
+    slow = _make_case_machine(config, "scalar")
     detail = ("vectorised strip engine vs scalar reference loop "
               "(repro/machine/vector_machine.py)")
     if config["kind"] == "ops":
@@ -841,10 +847,10 @@ def _check_trace_columnar(config: dict) -> list[Divergence]:
 
 
 # ---------------------------------------------------------------------------
-# kernel-backend: scalar vs numpy vs compiled replay/timing/Belady engines
+# kernel-backend: scalar vs compiled replay/timing/Belady engines
 # ---------------------------------------------------------------------------
 
-_BACKENDS = ("scalar", "numpy", "compiled")
+_BACKENDS = ("scalar", "compiled")
 
 _KERNEL_STAT_FIELDS = _STAT_FIELDS
 
@@ -857,7 +863,9 @@ def _kernel_backend_cases(mode: str, rng: random.Random) -> list[dict]:
     # dodge the sweep; (b) an over-capacity random OPT case with dead
     # lines, where a Belady kernel that mistreats the never-reused
     # sentinel pins the wrong lines every run; (c) a prime CC machine on
-    # the batched timing path.
+    # the batched timing path; (d) an MM machine on prime-interleaved
+    # banks and a CC machine on skewed ones, so the timing kernels also
+    # see banks that are not the address's low bits.
     cases = [
         {"kind": "replay", "cache": "direct", "c": 5, "lines": 32,
          "line_size": 1, "classify": False, "write_allocate": True,
@@ -869,7 +877,16 @@ def _kernel_backend_cases(mode: str, rng: random.Random) -> list[dict]:
          "seed": 0},
         {"kind": "machine", "machine": "cc-prime", "banks": 8, "t_m": 12,
          "lines": 128, "c": 7, "write_buffer_depth": None,
-         "trace_len": 2000, "span": 4096, "write_frac": 0.25, "seed": 0},
+         "interleave": "low-order", "trace_len": 2000, "span": 4096,
+         "write_frac": 0.25, "seed": 0},
+        {"kind": "machine", "machine": "mm", "banks": 7, "t_m": 12,
+         "lines": 128, "c": 7, "write_buffer_depth": None,
+         "interleave": "prime", "trace_len": 2000, "span": 4096,
+         "write_frac": 0.25, "seed": 1},
+        {"kind": "machine", "machine": "cc-direct", "banks": 8, "t_m": 12,
+         "lines": 128, "c": 7, "write_buffer_depth": None,
+         "interleave": "skewed", "trace_len": 2000, "span": 4096,
+         "write_frac": 0.25, "seed": 2},
     ]
     for _ in range(rounds):
         for kind in _CACHE_KINDS:
@@ -911,6 +928,7 @@ def _kernel_backend_cases(mode: str, rng: random.Random) -> list[dict]:
                 "lines": 128,
                 "c": 7,
                 "write_buffer_depth": None,
+                "interleave": "low-order",
                 "trace_len": 2000,
                 "span": 4096,
                 "write_frac": rng.choice((0.0, 0.25)),
@@ -919,14 +937,13 @@ def _kernel_backend_cases(mode: str, rng: random.Random) -> list[dict]:
     return cases
 
 
-def _pairwise_backend_divergence(results: dict, detail: str):
-    """First divergence between consecutive backend result dicts."""
-    for reference, candidate in (("scalar", "numpy"), ("numpy", "compiled")):
-        expected, actual = results[reference], results[candidate]
-        for metric in expected:
-            if expected[metric] != actual[metric]:
-                return [(f"{candidate}-vs-{reference}.{metric}",
-                         expected[metric], actual[metric], detail)]
+def _backend_divergence(results: dict, detail: str):
+    """First divergence of the compiled result dict from the scalar one."""
+    expected, actual = results["scalar"], results["compiled"]
+    for metric in expected:
+        if expected[metric] != actual[metric]:
+            return [(f"compiled-vs-scalar.{metric}",
+                     expected[metric], actual[metric], detail)]
     return None
 
 
@@ -934,8 +951,9 @@ def _check_kernel_replay(config: dict) -> list[Divergence]:
     addresses, writes = _case_trace(config)
     address_arr = np.asarray(addresses, dtype=np.int64)
     write_arr = None if writes is None else np.asarray(writes, dtype=bool)
-    # with a classifier the kind output forces the numpy engine, which is
-    # still a valid differential; classifier-free cases run the kernels
+    # with a classifier the kind output keeps both backends on the state
+    # machine, which is still a valid differential; classifier-free cases
+    # run the kernels
     want_kinds = config["classify"]
     results = {}
     for backend in _BACKENDS:
@@ -950,7 +968,7 @@ def _check_kernel_replay(config: dict) -> list[Divergence]:
             record["kinds_stream"] = batch.miss_kinds.tolist()
         record["resident"] = sorted(cache.resident_lines())
         results[backend] = record
-    diverged = _pairwise_backend_divergence(
+    diverged = _backend_divergence(
         results,
         "Cache.access_many backend engines (repro/cache/base.py, "
         "repro/kernels/)")
@@ -979,7 +997,7 @@ def _check_kernel_belady(config: dict) -> list[Divergence]:
             "writes": outcome.stats.writes,
             "evictions": outcome.evictions,
         }
-    diverged = _pairwise_backend_divergence(
+    diverged = _backend_divergence(
         results,
         "Belady OPT backend engines (repro/cache/belady.py, "
         "repro/kernels/)")
@@ -998,18 +1016,27 @@ def _check_kernel_machine(config: dict) -> list[Divergence]:
         trace.append(rng.randrange(span), write=rng.random() < write_frac)
 
     def build(backend: str):
-        machine_config = MachineConfig(
-            num_banks=config["banks"], memory_access_time=config["t_m"],
-            cache_lines=config["lines"])
+        banks, t_m = config["banks"], config["t_m"]
+        scheme = {"low-order": LowOrderInterleave, "prime": PrimeInterleave,
+                  "skewed": SkewedInterleave}[config["interleave"]](banks)
         if config["machine"] == "mm":
-            return MMMachine(machine_config, backend=backend)
+            # a prime bank count is outside MachineConfig's power-of-two
+            # geometry, so the memory is built directly (the MM machine
+            # reads the config's bank count only for its stride range)
+            return MMMachine(
+                MachineConfig(num_banks=8, memory_access_time=t_m),
+                memory=InterleavedMemory(banks, t_m, scheme),
+                backend=backend)
+        machine_config = MachineConfig(
+            num_banks=banks, memory_access_time=t_m,
+            cache_lines=config["lines"])
         if config["machine"] == "cc-direct":
             cache = DirectMappedCache(num_lines=config["lines"])
         else:
             cache = PrimeMappedCache(c=config["c"])
             machine_config = machine_config.with_(
                 cache_lines=cache.total_lines)
-        return CCMachine(machine_config, cache, backend=backend)
+        return CCMachine(machine_config, cache, scheme, backend=backend)
 
     results = {}
     for backend in _BACKENDS:
@@ -1025,7 +1052,7 @@ def _check_kernel_machine(config: dict) -> list[Divergence]:
         record["memory.stall_cycles"] = machine.memory.stats.stall_cycles
         record["memory.bank_accesses"] = machine.memory.stats.bank_accesses
         results[backend] = record
-    diverged = _pairwise_backend_divergence(
+    diverged = _backend_divergence(
         results,
         "machine timing backend engines (repro/machine/trace_runner.py, "
         "repro/machine/vector_machine.py, repro/kernels/)")
@@ -1527,21 +1554,21 @@ def _check_zoo(config: dict) -> list[Divergence]:
         l2_time, block = config["l2_hit_time"], config["block"]
         assert 2 * l1_sets <= block <= l2_sets
 
-        def run(fast_path: bool):
+        def run(backend: str):
             machine = CCMachine(
                 MachineConfig(num_banks=config["banks"],
                               memory_access_time=config["t_m"],
                               cache_lines=l2_sets),
                 TwoLevelCache(l1_sets=l1_sets, l2_sets=l2_sets,
                               l2_hit_time=l2_time, classify_misses=False),
-                fast_path=fast_path)
+                backend=backend)
             return machine.execute([
                 VectorLoad(base=0, stride=1, length=block),
                 VectorLoad(base=0, stride=1, length=block,
                            expect_cached=True),
             ])
 
-        report = run(fast_path=True)
+        report = run("compiled")
         detail = ("L1/L2 timing law through the CC machine "
                   "(repro/machine/vector_machine.py, "
                   "repro/cache/hierarchy.py)")
@@ -1553,13 +1580,13 @@ def _check_zoo(config: dict) -> list[Divergence]:
         if report.miss_stall_cycles != block * l2_time:
             return [("l1l2.report.miss_stall_cycles", block * l2_time,
                      report.miss_stall_cycles, detail)]
-        slow = run(fast_path=False)
+        slow = run("scalar")
         for field in _REPORT_FIELDS + ("l2_hits",):
             expected = getattr(slow, field)
             actual = getattr(report, field)
             if expected != actual:
                 return [(f"l1l2.parity.{field}", expected, actual,
-                         detail + "; fast_path=True vs False")]
+                         detail + "; compiled vs scalar backend")]
         return []
     if kind == "bicameral-isolation":
         rng = random.Random(config["seed"])
@@ -1622,8 +1649,8 @@ ORACLES: dict[str, Oracle] = {
             _trace_columnar_cases, _check_trace_columnar),
         Oracle(
             "kernel-backend",
-            "scalar vs numpy vs compiled replay, Belady and machine-timing "
-            "engines, bit-for-bit",
+            "scalar vs compiled replay, Belady and machine-timing engines, "
+            "bit-for-bit",
             _kernel_backend_cases, _check_kernel_backend),
         Oracle(
             "analytical-batched",

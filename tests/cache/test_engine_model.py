@@ -153,7 +153,7 @@ def test_access_path_matches_model(scenario):
 
 @settings(max_examples=150, deadline=None)
 @given(scenarios(),
-       st.lists(st.sampled_from(["scalar", "numpy", "compiled"]),
+       st.lists(st.sampled_from(["scalar", "compiled"]),
                 min_size=1, max_size=4))
 def test_batched_paths_match_model(scenario, backends):
     """Runs between invalidations replay as one ``access_many`` batch,

@@ -197,7 +197,7 @@ class TestBicameral:
 
     @pytest.mark.parametrize("backend, default, kernel_calls", [
         ("compiled", None, 2),        # one one-way kernel call per half
-        ("numpy", "compiled", 0),     # the caller's choice beats the default
+        ("scalar", "compiled", 0),    # the caller's choice beats the default
     ])
     def test_halves_replay_on_the_callers_backend(
         self, monkeypatch, backend, default, kernel_calls

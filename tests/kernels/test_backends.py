@@ -3,7 +3,7 @@
 The knob surface — ``REPRO_BACKEND``, :func:`set_default_backend`,
 :func:`resolve_backend` — is shared by every call site (CLI flags, the
 serve queries, ``access_many``), so its normalisation rules are pinned
-here once.  The bit-for-bit equivalence of the three backends themselves
+here once.  The bit-for-bit equivalence of the two backends themselves
 is swept by the ``kernel-backend`` oracle; these tests only add the
 small direct checks that are awkward to express as oracle cases.
 """
@@ -24,13 +24,13 @@ def _restore_default():
 
 
 def test_backends_tuple():
-    assert kernels.BACKENDS == ("scalar", "numpy", "compiled")
+    assert kernels.BACKENDS == ("scalar", "compiled")
 
 
-def test_default_backend_is_numpy_without_env(monkeypatch):
+def test_default_backend_is_compiled_without_env(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     kernels.set_default_backend(None)
-    assert kernels.default_backend() == "numpy"
+    assert kernels.default_backend() == "compiled"
 
 
 def test_env_sets_default(monkeypatch):
@@ -45,16 +45,17 @@ def test_env_rejects_garbage(monkeypatch):
     with pytest.raises(ValueError, match="REPRO_BACKEND"):
         kernels.default_backend()
     # the bad value must not wedge the process: the next read recovers
-    assert kernels.default_backend() == "numpy"
+    assert kernels.default_backend() == "compiled"
 
 
-def test_auto_resolves_to_real_backend(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    kernels.set_default_backend("auto")
-    expected = ("compiled" if kernels.has_compiled_provider() else "numpy")
-    assert kernels.default_backend() == expected
-    assert kernels.resolve_backend(None) == expected
-    assert kernels.resolve_backend("auto") == expected
+@pytest.mark.parametrize("retired", ["numpy", "auto"])
+def test_retired_backends_rejected(monkeypatch, retired):
+    with pytest.raises(ValueError, match="backend must be one of"):
+        kernels.resolve_backend(retired)
+    monkeypatch.setenv("REPRO_BACKEND", retired)
+    kernels.set_default_backend(None)
+    with pytest.raises(ValueError, match="REPRO_BACKEND"):
+        kernels.default_backend()
 
 
 def test_set_default_backend_overrides_and_resets(monkeypatch):
@@ -62,7 +63,7 @@ def test_set_default_backend_overrides_and_resets(monkeypatch):
     kernels.set_default_backend("scalar")
     assert kernels.resolve_backend(None) == "scalar"
     kernels.set_default_backend(None)          # back to the environment
-    assert kernels.default_backend() == "numpy"
+    assert kernels.default_backend() == "compiled"
 
 
 def test_resolve_backend_passthrough_and_rejection():
@@ -77,15 +78,15 @@ def test_resolve_backend_passthrough_and_rejection():
 def test_provider_info_shape():
     info = kernels.provider_info()
     assert set(info) == {"name", "detail"}
-    assert info["name"] in ("numba", "cext", "reference")
+    assert info["name"] in ("cext", "reference")
     assert (info["name"] != "reference") == kernels.has_compiled_provider()
 
 
 def test_backend_info_shape():
     info = kernels.backend_info()
-    for key in ("default_backend", "compiled_provider", "compiled_detail",
-                "numba"):
+    for key in ("default_backend", "compiled_provider", "compiled_detail"):
         assert key in info
+    assert "numba" not in info
     assert info["default_backend"] in kernels.BACKENDS
     assert info["compiled_provider"] == kernels.provider_info()["name"]
 

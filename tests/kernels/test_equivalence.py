@@ -47,7 +47,7 @@ def test_access_many_identical_across_backends(kind):
             stats.writes, stats.evictions,
             tuple(sorted(cache.resident_lines())),
         )
-    assert results["scalar"] == results["numpy"] == results["compiled"]
+    assert results["scalar"] == results["compiled"]
 
 
 def test_simulate_opt_identical_across_backends():
@@ -60,4 +60,4 @@ def test_simulate_opt_identical_across_backends():
         stats = out.stats
         results[backend] = (stats.accesses, stats.hits, stats.misses,
                             stats.reads, stats.writes, stats.evictions)
-    assert results["scalar"] == results["numpy"] == results["compiled"]
+    assert results["scalar"] == results["compiled"]

@@ -1,9 +1,10 @@
 """Property test: the strip-level fast path matches the scalar loop.
 
-The vectorised timing engine (``fast_path=True``, the default) must
-reproduce the per-element reference loop bit for bit — not just total
-cycles, but the full :class:`~repro.machine.report.ExecutionReport`
-split, the memory/bank/bus/write-buffer state, and the cache contents —
+The vectorised timing engine (``backend="compiled"``, the default) must
+reproduce the per-element reference loop (``backend="scalar"``) bit for
+bit — not just total cycles, but the full
+:class:`~repro.machine.report.ExecutionReport` split, the
+memory/bank/bus/write-buffer state, and the cache contents —
 across MM/CC machines, strides (including 0 and negative), double-stream
 :class:`LoadPair` ops with mismatched lengths, finite write buffers, and
 both cache organisations.
@@ -30,6 +31,11 @@ from repro.machine.ops import LoadPair, VectorCompute, VectorLoad, VectorStore
 from repro.machine.vector_machine import CCMachine, MMMachine
 
 MVLS = (4, 16, 32)
+
+
+def _backend(fast: bool) -> str:
+    """The machines' strip-level engine, or their per-element reference."""
+    return "compiled" if fast else "scalar"
 
 
 def _load(mvl: int, *, counts_results: bool = True) -> st.SearchStrategy:
@@ -96,15 +102,17 @@ def _scenario(draw):
 def _build(fast: bool, config, spec, depth, line):
     if spec == "mm":
         if depth is None:
-            return MMMachine(config, fast_path=fast)
-        return MMMachine(config, write_buffer_depth=depth, fast_path=fast)
+            return MMMachine(config, backend=_backend(fast))
+        return MMMachine(config, write_buffer_depth=depth,
+                         backend=_backend(fast))
     if spec == "cc-direct":
         cache = DirectMappedCache(32, line_size_words=line,
                                   classify_misses=False)
     else:
         cache = PrimeMappedCache(c=5, line_size_words=line,
                                  classify_misses=False)
-    return CCMachine(config, cache, write_buffer_depth=depth, fast_path=fast)
+    return CCMachine(config, cache, write_buffer_depth=depth,
+                     backend=_backend(fast))
 
 
 def _full_state(machine):
@@ -161,8 +169,8 @@ def test_finite_write_buffer_stalls_match_scalar(depth, stride, length, t_m):
     identical on both store paths and surface in the report."""
     config = MachineConfig(num_banks=4, memory_access_time=t_m, mvl=16)
     ops = [VectorStore(base=0, stride=stride, length=length)] * 3
-    scalar = MMMachine(config, write_buffer_depth=depth, fast_path=False)
-    fast = MMMachine(config, write_buffer_depth=depth, fast_path=True)
+    scalar = MMMachine(config, write_buffer_depth=depth, backend="scalar")
+    fast = MMMachine(config, write_buffer_depth=depth, backend="compiled")
     scalar_report = scalar.execute(ops)
     fast_report = fast.execute(ops)
     assert fast_report == scalar_report
@@ -217,14 +225,14 @@ def test_chunked_long_streams_match_scalar(case):
     machines = []
     for fast in (False, True):
         if spec == "mm":
-            machines.append(MMMachine(config, fast_path=fast))
+            machines.append(MMMachine(config, backend=_backend(fast)))
             continue
         cache = (DirectMappedCache(32, classify_misses=False)
                  if spec == "cc-direct"
                  else PrimeMappedCache(c=5, classify_misses=False))
         machines.append(CCMachine(config, cache, start_registers=False,
                                   start_recalc_cycles=config.t_m,
-                                  fast_path=fast))
+                                  backend=_backend(fast)))
     scalar, fast = machines
     with mock.patch.object(vector_machine, "CHUNK_REFS", chunk_refs):
         for _ in range(2):

@@ -211,7 +211,7 @@ class TestDoubleStream:
                                    mvl=8, cache_lines=64)
             machine = CCMachine(
                 config, DirectMappedCache(64, classify_misses=False),
-                fast_path=fast,
+                backend="compiled" if fast else "scalar",
             )
             pair = LoadPair(
                 VectorLoad(base=0, stride=1, length=5),
