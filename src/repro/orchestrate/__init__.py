@@ -11,12 +11,8 @@ it into a service (see ``docs/orchestration.md``):
 * :mod:`~repro.orchestrate.store` — the on-disk cache
   (``~/.cache/repro`` or ``--cache-dir``), atomic and corruption-safe;
 * :mod:`~repro.orchestrate.runner` — dependency-ordered scheduling,
-  ``ProcessPoolExecutor`` parallelism, per-job timing/memory metrics,
-  JSONL run logs, crash-resumability;
-* :mod:`~repro.orchestrate.sched` — the distributed shard scheduler
-  behind ``--scheduler shard``: a lease-based coordinator, stateless
-  workers over pluggable transports, work stealing, fsynced per-shard
-  journals for crash resume;
+  inline or on a process pool that survives worker deaths, per-job
+  timing/memory metrics, JSONL run logs, crash-resumability;
 * :mod:`~repro.orchestrate.jobs` — the registry of every experiment:
   figures, extension figures, ablations, simulated figures, the
   sub-block study, the reproduction report.

@@ -2,7 +2,9 @@
 
 Every sweep appends one JSON object per line: a ``run_start`` header,
 one ``job_start`` / ``job_cached`` / ``job_done`` / ``job_failed`` /
-``job_skipped`` event per job, and a ``run_end`` trailer with totals.
+``job_skipped`` event per job, a ``worker_died`` event per pool break
+(the jobs it took down, and the one charged with it, if any), and a
+``run_end`` trailer with totals.
 The log is the machine-readable account of what ran, what the cache
 answered, and what each job cost — CI uploads it as an artifact, and
 ``repro sweep --status`` summarises the cache side of the same story.
@@ -11,8 +13,8 @@ Every record is flushed *and fsynced* before :meth:`RunLog.emit`
 returns: the crash-resume tests (and any post-mortem of a killed sweep)
 read the log to establish partial progress, so a record must never sit
 in a userspace or kernel buffer when the process is SIGKILLed or the
-machine dies.  ``emit`` is thread-safe — the sharded scheduler logs
-from its transport threads.
+machine dies.  ``emit`` is thread-safe, so one log may be shared by
+threads.
 """
 
 from __future__ import annotations

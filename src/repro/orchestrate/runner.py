@@ -7,11 +7,9 @@ job (plus its transitive dependencies) it
    so keys are computed in topological order),
 2. answers from the :class:`~repro.orchestrate.store.ResultStore` when
    the key is present (``--force`` skips the lookup, never the save),
-3. otherwise executes the job — inline (``scheduler="serial"``), on a
-   ``ProcessPoolExecutor`` (``"pool"``), or across N shard workers with
-   leases, work stealing and crash re-dispatch (``"shard"``, see
-   :mod:`repro.orchestrate.sched`) — recording wall time and peak RSS,
-   and persists the result,
+3. otherwise executes the job — inline (``workers <= 1``) or on a
+   :class:`WorkerPool` (``workers > 1``) — recording wall time and peak
+   RSS, and persists the result,
 4. materialises the job's declared artifact under ``results_dir``
    (skipping the write when the bytes are already identical), and
 5. appends structured events to the JSONL run log.
@@ -20,6 +18,13 @@ Crash-resumability falls out of 1–3: a killed sweep has already
 persisted every finished job under its key, so the next run re-executes
 only the missing or invalidated ones.  ``KeyboardInterrupt`` is
 deliberately not swallowed — finished work is on disk, the rest resumes.
+
+A worker process that dies (a crash, the OOM killer, an outside
+``SIGKILL``) breaks the whole pool: every job in flight fails with
+``BrokenProcessPool``.  The runner replaces the pool and re-runs those
+jobs one at a time; only a job that kills its worker while running
+alone is charged the death, and a job charged :data:`WORKER_DEATHS`
+deaths fails instead of crash-looping.
 """
 
 from __future__ import annotations
@@ -28,10 +33,17 @@ import os
 import tempfile
 import time
 import uuid
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import Counter, deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
 from repro.orchestrate.fingerprint import (
     FingerprintCache,
@@ -42,7 +54,46 @@ from repro.orchestrate.job import Job
 from repro.orchestrate.runlog import RunLog
 from repro.orchestrate.store import ResultStore
 
-__all__ = ["JobOutcome", "RunSummary", "Runner"]
+__all__ = ["JobOutcome", "RunSummary", "Runner", "WORKER_DEATHS",
+           "WorkerPool"]
+
+#: Pool breaks a job may cause, or a flight may see, before it is given
+#: up on: the runner fails a job charged this many worker deaths, the
+#: service answers a flight that saw this many breaks with a 503.
+WORKER_DEATHS = 2
+
+
+class WorkerPool:
+    """A ``ProcessPoolExecutor`` replaced whenever one of its workers dies.
+
+    A dead worker breaks its executor for good: every future in flight
+    fails with ``BrokenProcessPool`` and every later ``submit`` raises
+    it.  Whoever sees the break calls :meth:`replace` with the executor
+    it submitted to; only the first such call swaps in a fresh one, so
+    submissions that fail together replace it once and :attr:`deaths`
+    counts each break once.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self.executor = ProcessPoolExecutor(max_workers=workers)
+        #: how many broken executors have been replaced
+        self.deaths = 0
+
+    def submit(self, fn, /, *args) -> Future:
+        return self.executor.submit(fn, *args)
+
+    def replace(self, broken: ProcessPoolExecutor) -> None:
+        """Swap in a fresh executor unless ``broken`` was already replaced."""
+        if broken is not self.executor:
+            return
+        self.deaths += 1
+        self.executor = ProcessPoolExecutor(max_workers=self.workers)
+        broken.shutdown(wait=False)
+
+    def shutdown(self, wait: bool = True, *,
+                 cancel_futures: bool = False) -> None:
+        self.executor.shutdown(wait=wait, cancel_futures=cancel_futures)
 
 
 def _execute(job: Job, inputs: dict[str, Any] | None):
@@ -84,9 +135,6 @@ class RunSummary:
     outcomes: list[JobOutcome] = field(default_factory=list)
     results: dict[str, Any] = field(default_factory=dict)
     elapsed_s: float = 0.0
-    #: Shard-scheduler counters (leases, steals, expiries, ...) when the
-    #: run used ``scheduler="shard"``; empty otherwise.
-    scheduler: dict = field(default_factory=dict)
 
     def count(self, status: str) -> int:
         return sum(1 for o in self.outcomes if o.status == status)
@@ -108,8 +156,6 @@ class RunSummary:
             "ok": self.ok,
             "counts": {s: self.count(s)
                        for s in ("hit", "ran", "failed", "skipped")},
-            **({"scheduler": dict(self.scheduler)}
-               if self.scheduler else {}),
             "jobs": [
                 {"name": o.name, "key": o.key, "status": o.status,
                  "elapsed_s": o.elapsed_s, "max_rss_kb": o.max_rss_kb,
@@ -127,31 +173,19 @@ class Runner:
             unique and every dep must name a job in the set).
         store: the result cache (default: the default cache dir).
         workers: ``<= 1`` runs inline; ``N > 1`` fans independent jobs
-            out over a ``ProcessPoolExecutor(max_workers=N)``.
+            out over a :class:`WorkerPool` of ``N`` processes.
         force: execute every job even on a warm cache (results are
             still saved, refreshing the entries).
         results_dir: where job artifacts are materialised; ``None``
             disables artifact writing.
         log_path: JSONL run-log destination (``None`` disables logging).
-        scheduler: ``"serial"``, ``"pool"``, ``"shard"``, or ``"auto"``
-            (the default — ``shard`` when ``shards`` is set, else
-            ``pool``/``serial`` by ``workers``).
-        shards: shard-worker count for the ``shard`` scheduler
-            (default: ``workers``).
-        steal: allow straggler work stealing (``shard`` only).
-        lease_ttl_s: shard lease heartbeat deadline, seconds.
-        sched_options: extra :class:`~repro.orchestrate.sched.\
-ShardScheduler` keyword arguments (tests and fault drills).
     """
 
     def __init__(self, jobs: Iterable[Job], *,
                  store: ResultStore | None = None,
                  workers: int = 1, force: bool = False,
                  results_dir: Path | str | None = None,
-                 log_path: Path | str | None = None,
-                 scheduler: str = "auto", shards: int | None = None,
-                 steal: bool = True, lease_ttl_s: float = 15.0,
-                 sched_options: Mapping[str, Any] | None = None) -> None:
+                 log_path: Path | str | None = None) -> None:
         self.jobs: dict[str, Job] = {}
         for job in jobs:
             if job.name in self.jobs:
@@ -168,18 +202,6 @@ ShardScheduler` keyword arguments (tests and fault drills).
         self.results_dir = (Path(results_dir)
                             if results_dir is not None else None)
         self.log_path = log_path
-        if scheduler == "auto":
-            scheduler = ("shard" if shards is not None
-                         else "pool" if self.workers > 1 else "serial")
-        if scheduler not in ("serial", "pool", "shard"):
-            raise ValueError(f"unknown scheduler {scheduler!r}; choose "
-                             f"from 'serial', 'pool', 'shard'")
-        self.scheduler = scheduler
-        self.shards = max(1, int(shards if shards is not None
-                                 else self.workers))
-        self.steal = steal
-        self.lease_ttl_s = lease_ttl_s
-        self.sched_options = dict(sched_options or {})
 
     # ------------------------------------------------------------------
     # planning
@@ -245,11 +267,9 @@ ShardScheduler` keyword arguments (tests and fault drills).
         with RunLog(self.log_path) as log:
             log.emit("run_start", run_id=summary.run_id,
                      jobs=[j.name for j in order], workers=self.workers,
-                     scheduler=self.scheduler, force=self.force)
+                     force=self.force)
             try:
-                if self.scheduler == "shard":
-                    self._run_shard(order, keys, summary, log)
-                elif self.scheduler == "pool" and self.workers > 1:
+                if self.workers > 1:
                     self._run_pool(order, keys, summary, log)
                 else:
                     self._run_serial(order, keys, summary, log)
@@ -362,99 +382,120 @@ ShardScheduler` keyword arguments (tests and fault drills).
             self._record(summary, log, job, key, "ran", result=result,
                          elapsed=elapsed, rss=rss)
 
-    # -- shard path -----------------------------------------------------
-
-    def _run_shard(self, order: list[Job], keys: dict[str, str],
-                   summary: RunSummary, log: RunLog) -> None:
-        """Run via the lease-based shard scheduler (see ``sched/``).
-
-        Workers persist results into the shared store themselves; this
-        side folds the scheduler's outcomes back into the summary and
-        materialises artifacts from the store, so serial/pool/shard
-        runs produce byte-identical ``results/``.
-        """
-        from repro.orchestrate.sched import ShardScheduler
-
-        options = dict(
-            shards=self.shards, steal=self.steal,
-            lease_ttl_s=self.lease_ttl_s, force=self.force,
-            run_id=summary.run_id, emit=log.emit)
-        options.update(self.sched_options)
-        report = ShardScheduler(order, keys, self.store,
-                                **options).run()
-        summary.scheduler = dict(report.counters)
-        by_name = {o["name"]: o for o in report.outcomes}
-        for job in order:
-            outcome = by_name[job.name]
-            status = outcome["status"]
-            if status in ("hit", "ran"):
-                entry = self.store.load(outcome["key"])
-                self._record(summary, log, job, outcome["key"], status,
-                             result=entry.result if entry else None,
-                             elapsed=outcome["elapsed_s"],
-                             rss=outcome["max_rss_kb"])
-            else:
-                self._record(summary, log, job, outcome["key"], status,
-                             error=outcome.get("error"))
-
     # -- pool path ------------------------------------------------------
 
     def _run_pool(self, order: list[Job], keys: dict[str, str],
                   summary: RunSummary, log: RunLog) -> None:
-        remaining_deps = {job.name: len(job.deps) for job in order}
-        dependents: dict[str, list[str]] = {job.name: [] for job in order}
-        in_plan = set(remaining_deps)
+        """Fan ready jobs out over a :class:`WorkerPool`.
+
+        At most ``workers`` jobs are in flight, so every one of them is
+        really running.  When the pool breaks, every job in flight is a
+        suspect: the pool is replaced and the suspects re-run one at a
+        time before any other ready job is dispatched.  A job that
+        breaks the pool while it runs alone is charged the death, and a
+        job charged :data:`WORKER_DEATHS` deaths fails, skipping its
+        dependents.
+        """
+        waiting = {job.name: len(job.deps) for job in order}
+        dependents: dict[str, list[Job]] = {job.name: [] for job in order}
         for job in order:
             for dep in job.deps:
-                if dep in in_plan:
-                    dependents[dep].append(job.name)
+                dependents[dep].append(job)
+        ready = deque(job for job in order if not job.deps)
+        suspects: deque[Job] = deque()
+        deaths: Counter[str] = Counter()
+        running: dict[Future, Job] = {}
 
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures: dict = {}
+        def finish(job: Job) -> None:
+            for child in dependents[job.name]:
+                waiting[child.name] -= 1
+                if not waiting[child.name]:
+                    ready.append(child)
 
-            def finish(name: str) -> None:
-                """Unblock and launch this job's ready dependents."""
-                for child in dependents[name]:
-                    remaining_deps[child] -= 1
-                    if remaining_deps[child] == 0:
-                        launch(self.jobs[child])
-
-            def launch(job: Job) -> None:
-                key = keys[job.name]
-                if self._blocked(job, summary):
-                    self._record(summary, log, job, key, "skipped")
-                    finish(job.name)
-                    return
-                entry = self._try_cache(job, key)
-                if entry is not None:
-                    self._record(summary, log, job, key, "hit",
-                                 result=entry.result,
-                                 elapsed=entry.meta.get("elapsed_s", 0.0))
-                    finish(job.name)
-                    return
-                log.emit("job_start", job=job.name, key=key)
+        def submit(job: Job, queue: deque) -> bool:
+            """Start ``job``; False (and ``job`` requeued) on a broken pool."""
+            try:
                 future = pool.submit(_execute, job,
                                      self._inputs(job, summary))
-                futures[future] = job
+            except BrokenProcessPool:  # a worker died between jobs
+                queue.appendleft(job)
+                return False
+            log.emit("job_start", job=job.name, key=keys[job.name])
+            running[future] = job
+            return True
 
-            for job in order:
-                if remaining_deps[job.name] == 0:
-                    launch(job)
+        def collect(future: Future, job: Job) -> bool:
+            """Record a finished job; False if the pool broke under it."""
+            key = keys[job.name]
+            try:
+                result, elapsed, rss = future.result()
+            except BrokenProcessPool:
+                return False
+            except KeyboardInterrupt:
+                raise
+            except Exception as exc:  # noqa: BLE001
+                self._record(summary, log, job, key, "failed",
+                             error=f"{type(exc).__name__}: {exc}")
+            else:
+                self._store_result(job, key, result, elapsed, rss)
+                self._record(summary, log, job, key, "ran",
+                             result=result, elapsed=elapsed, rss=rss)
+            finish(job)
+            return True
 
-            while futures:
-                done, _ = wait(list(futures), return_when=FIRST_COMPLETED)
-                for future in done:
-                    job = futures.pop(future)
+        pool = WorkerPool(self.workers)
+        try:
+            while ready or suspects or running:
+                intact = True
+                if suspects and not running:
+                    intact = submit(suspects.popleft(), suspects)
+                while (intact and ready and not suspects
+                       and len(running) < self.workers):
+                    job = ready.popleft()
                     key = keys[job.name]
-                    try:
-                        result, elapsed, rss = future.result()
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as exc:  # noqa: BLE001
-                        self._record(summary, log, job, key, "failed",
-                                     error=f"{type(exc).__name__}: {exc}")
-                    else:
-                        self._store_result(job, key, result, elapsed, rss)
-                        self._record(summary, log, job, key, "ran",
-                                     result=result, elapsed=elapsed, rss=rss)
-                    finish(job.name)
+                    if self._blocked(job, summary):
+                        self._record(summary, log, job, key, "skipped")
+                        finish(job)
+                        continue
+                    entry = self._try_cache(job, key)
+                    if entry is not None:
+                        self._record(summary, log, job, key, "hit",
+                                     result=entry.result,
+                                     elapsed=entry.meta.get("elapsed_s",
+                                                            0.0))
+                        finish(job)
+                        continue
+                    intact = submit(job, ready)
+                if intact:
+                    if not running:
+                        continue
+                    done, _ = wait(running, return_when=FIRST_COMPLETED)
+                    if not any(isinstance(future.exception(),
+                                          BrokenProcessPool)
+                               for future in done):
+                        for future in [f for f in running if f in done]:
+                            collect(future, running.pop(future))
+                        continue
+                # the pool broke, and it fails every job still in flight
+                wait(running)
+                lost = [job for future, job in running.items()
+                        if not collect(future, job)]
+                running.clear()
+                pool.replace(pool.executor)
+                charged = lost[0].name if len(lost) == 1 else None
+                if charged is not None:
+                    deaths[charged] += 1
+                log.emit("worker_died", jobs=[job.name for job in lost],
+                         charged=charged)
+                for job in lost:
+                    if deaths[job.name] < WORKER_DEATHS:
+                        suspects.append(job)
+                        continue
+                    self._record(
+                        summary, log, job, keys[job.name], "failed",
+                        error=f"WorkerDied: its worker process died "
+                              f"{deaths[job.name]} times while it ran "
+                              f"alone")
+                    finish(job)
+        finally:
+            pool.shutdown()

@@ -34,7 +34,7 @@ from typing import Any
 
 from repro.orchestrate.store import ResultStore
 from repro.serve.protocol import ProtocolError, normalise
-from repro.serve.service import JobService
+from repro.serve.service import JobService, WorkerDied
 
 __all__ = ["ServeApp", "ServerHandle", "jsonable", "run_app",
            "serve_in_thread"]
@@ -107,10 +107,9 @@ class ServeApp:
     def __init__(self, service: JobService | None = None, *,
                  host: str = "127.0.0.1", port: int = 8023,
                  registry=None, store: ResultStore | None = None,
-                 workers: int = 1, scheduler: str = "pool") -> None:
+                 workers: int = 1) -> None:
         self.service = service if service is not None else JobService(
-            registry=registry, store=store, workers=workers,
-            scheduler=scheduler)
+            registry=registry, store=store, workers=workers)
         self.host = host
         self.port = port
         self.tracked: dict[str, TrackedJob] = {}
@@ -241,8 +240,11 @@ class ServeApp:
         try:
             resolutions = await task
         except Exception as error:  # noqa: BLE001 - job failure -> 500
-            await _respond(writer, 500, {"error":
-                                         f"{type(error).__name__}: {error}"})
+            # a worker death is retryable: the pool has been replaced
+            status = 503 if isinstance(error, WorkerDied) else 500
+            await _respond(writer, status, {"error":
+                                            f"{type(error).__name__}: "
+                                            f"{error}"})
             return
         await _respond(writer, 200, {
             "ok": True,
@@ -384,7 +386,6 @@ def run_app(app: ServeApp) -> None:
                 loop.add_signal_handler(signum, app.request_stop)
         print(f"repro serve listening on http://{app.host}:{app.port} "
               f"(workers={app.service.workers}, "
-              f"scheduler={app.service.scheduler}, "
               f"cache={app.service.store.root})", flush=True)
         await app.serve_until_stopped()
 
@@ -421,10 +422,10 @@ class ServerHandle:
 
 def serve_in_thread(*, registry=None, store: ResultStore | None = None,
                     workers: int = 1, host: str = "127.0.0.1",
-                    port: int = 0, scheduler: str = "pool") -> ServerHandle:
+                    port: int = 0) -> ServerHandle:
     """Boot a daemon on a daemon thread; returns once it is accepting."""
     app = ServeApp(registry=registry, store=store, workers=workers,
-                   host=host, port=port, scheduler=scheduler)
+                   host=host, port=port)
     started = threading.Event()
     box: dict = {}
 

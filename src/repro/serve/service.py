@@ -12,26 +12,27 @@ each normalised :class:`~repro.serve.protocol.Query` it
 3. coalesces identical in-flight keys through
    :class:`~repro.serve.singleflight.SingleFlight` so a stampede of
    duplicate requests computes once, and
-4. dispatches cold executions to a persistent ``ProcessPoolExecutor``
-   via ``run_in_executor`` — the event loop never blocks on simulation
-   work, and store I/O runs in worker threads.
+4. dispatches cold executions to a persistent
+   :class:`~repro.orchestrate.runner.WorkerPool` via ``run_in_executor``
+   — the event loop never blocks on simulation work, and store I/O runs
+   in worker threads.
 
 Dependencies resolve recursively through the same path, so two requests
 sharing an upstream job share its flight too.
 
-With ``scheduler="shard"`` the cold path runs through a persistent
-:class:`~repro.orchestrate.sched.ShardPool` instead: the same
-lease/heartbeat/re-dispatch machinery as ``repro sweep --scheduler
-shard``, so a shard worker that dies mid-job is replaced and the job
-re-dispatched instead of failing the request.  Shard workers persist
-results into the store themselves, so the service skips its own save.
+A worker that dies breaks the pool under every flight in flight on it.
+The first flight to see the break replaces the pool and each one
+retries; a flight that sees :data:`~repro.orchestrate.runner.\
+WORKER_DEATHS` breaks raises :class:`WorkerDied`, which the daemon
+answers with a 503 that a client may retry.  Nothing is quarantined: an
+innocent flight caught in that many breaks gets the 503 too.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -41,12 +42,12 @@ from repro.orchestrate.fingerprint import (
     canonical_params,
 )
 from repro.orchestrate.job import Job
-from repro.orchestrate.runner import _execute
+from repro.orchestrate.runner import WORKER_DEATHS, WorkerPool, _execute
 from repro.orchestrate.store import ResultStore
 from repro.serve.protocol import Query
 from repro.serve.singleflight import SingleFlight
 
-__all__ = ["JobService", "Resolution"]
+__all__ = ["JobService", "Resolution", "WorkerDied"]
 
 #: Event callback type: receives one JSON-able progress dict.
 Emit = Callable[[dict], None]
@@ -54,6 +55,10 @@ Emit = Callable[[dict], None]
 
 def _no_emit(_event: dict) -> None:
     return None
+
+
+class WorkerDied(RuntimeError):
+    """A cold job's worker process died on every attempt of its flight."""
 
 
 @dataclass(frozen=True)
@@ -77,28 +82,15 @@ class JobService:
 
     def __init__(self, registry: Mapping[str, Job] | None = None,
                  store: ResultStore | None = None,
-                 workers: int = 1, scheduler: str = "pool",
-                 sched_options: Mapping[str, Any] | None = None) -> None:
+                 workers: int = 1) -> None:
         if registry is None:
             from repro.orchestrate.jobs import all_jobs
 
             registry = all_jobs()
-        if scheduler not in ("pool", "shard"):
-            raise ValueError(f"unknown scheduler {scheduler!r}; choose "
-                             f"from 'pool', 'shard'")
         self.registry: dict[str, Job] = dict(registry)
         self.store = store if store is not None else ResultStore()
         self.workers = max(1, int(workers))
-        self.scheduler = scheduler
-        self.pool: ProcessPoolExecutor | None = None
-        self.shard_pool = None
-        if scheduler == "shard":
-            from repro.orchestrate.sched import ShardPool
-
-            self.shard_pool = ShardPool(self.store, shards=self.workers,
-                                        **dict(sched_options or {}))
-        else:
-            self.pool = ProcessPoolExecutor(max_workers=self.workers)
+        self.pool = WorkerPool(self.workers)
         self.flight = SingleFlight()
         self.fingerprints = FingerprintCache()
         self.started_at = time.time()
@@ -168,28 +160,17 @@ class JobService:
                                   elapsed_s=entry.meta.get("elapsed_s", 0.0))
             inputs = None
             if job.deps:
-                # resolve upstream first in both modes: the shard
-                # worker loads dep results from the store by key, so
-                # they must be durable before the job is submitted
                 upstream = await asyncio.gather(
                     *(self._resolve(dep, jobs, keys, emit)
                       for dep in job.deps))
                 inputs = {r.name: r.result for r in upstream}
             emit({"event": "job_start", "job": name, "key": key})
-            if self.shard_pool is not None:
-                result, elapsed, rss = await asyncio.to_thread(
-                    self.shard_pool.execute, job, key,
-                    {dep: keys[dep] for dep in job.deps})
-                # the committing shard worker already saved the result
-            else:
-                loop = asyncio.get_running_loop()
-                result, elapsed, rss = await loop.run_in_executor(
-                    self.pool, _execute, job, inputs)
-                await asyncio.to_thread(self.store.save, key, result, {
-                    "job": job.name, "fn": job.fn,
-                    "params": canonical_params(job.params),
-                    "elapsed_s": elapsed, "max_rss_kb": rss,
-                })
+            result, elapsed, rss = await self._run_cold(job, inputs)
+            await asyncio.to_thread(self.store.save, key, result, {
+                "job": job.name, "fn": job.fn,
+                "params": canonical_params(job.params),
+                "elapsed_s": elapsed, "max_rss_kb": rss,
+            })
             self.computed += 1
             emit({"event": "job_done", "job": name, "key": key,
                   "elapsed_s": elapsed, "max_rss_kb": rss})
@@ -197,6 +178,19 @@ class JobService:
                               result=result, elapsed_s=elapsed)
 
         return await self.flight.run(key, compute)
+
+    async def _run_cold(self, job: Job, inputs: dict[str, Any] | None):
+        """Run one job on the pool, replacing the pool each time it breaks."""
+        loop = asyncio.get_running_loop()
+        for _ in range(WORKER_DEATHS):
+            executor = self.pool.executor
+            try:
+                return await loop.run_in_executor(self.pool, _execute, job,
+                                                  inputs)
+            except BrokenProcessPool:
+                self.pool.replace(executor)
+        raise WorkerDied(f"job {job.name!r}: the worker process died on "
+                         f"each of {WORKER_DEATHS} attempts")
 
     # ------------------------------------------------------------------
     # introspection / lifecycle
@@ -206,22 +200,17 @@ class JobService:
         return {
             "uptime_s": time.time() - self.started_at,
             "workers": self.workers,
-            "scheduler": self.scheduler,
             "requests": self.requests,
             "hits": self.hits,
             "computed": self.computed,
             "errors": self.errors,
+            "worker_deaths": self.pool.deaths,
             "coalesced": self.flight.coalesced,
             "flights_led": self.flight.leaders,
             "inflight": self.flight.inflight,
             "cache_dir": str(self.store.root),
-            **({"shard": self.shard_pool.stats()}
-               if self.shard_pool is not None else {}),
         }
 
     def close(self, *, drain: bool = True) -> None:
         """Shut the cold-job executor down (draining in-flight work)."""
-        if self.shard_pool is not None:
-            self.shard_pool.close()
-        if self.pool is not None:
-            self.pool.shutdown(wait=drain, cancel_futures=not drain)
+        self.pool.shutdown(wait=drain, cancel_futures=not drain)

@@ -1,6 +1,6 @@
 """First-build safety of the generated-C provider.
 
-Pool, shard and serve workers all load the kernels at start-up, so on an
+Pool and serve workers all load the kernels at start-up, so on an
 empty kernel cache several processes build at once.  Each must compile
 its own copy of the source: a shared source file that another process
 truncates mid-build would otherwise leave an empty shared object in the

@@ -1,25 +1,16 @@
-"""Fault-injection stress suite for the sharded sweep scheduler.
+"""Worker deaths on the runner's process pool.
 
-Three families of induced failure, each asserting the scheduler's core
-guarantees — every job completes, exactly one commit per job is ever
-accepted, and the artifacts a faulted run leaves behind are
-byte-identical to an undisturbed serial run:
+A worker process that dies breaks the whole ``ProcessPoolExecutor``:
+every job in flight fails with ``BrokenProcessPool``.  The runner must
+replace the pool and re-run those jobs, so a sweep survives
 
-* **worker kills** — jobs that ``SIGKILL`` their own worker process
-  mid-lease (deterministically, on first execution); leases expire,
-  jobs re-dispatch onto respawned workers, the sweep finishes.
-* **lost heartbeats** — workers whose heartbeats never arrive; every
-  lease outlives its deadline and is re-queued, yet the first durable
-  commit is still accepted (late) and counted once.
-* **coordinator crash** — the coordinator dies between granting a lease
-  and its commit; a new scheduler for the same ``run_id`` resumes from
-  the per-shard journal, honouring committed work (even under
-  ``force=True``) and re-dispatching the leased-but-uncommitted job.
-
-Worker-kill tests need real processes (``worker_mode="process"``); the
-heartbeat tests run thread workers for speed — the coordinator cannot
-tell the difference, which is rather the point of the transport
-abstraction.
+* **a job that kills its worker once** — every job still ends ``ran``
+  and the artifacts are byte-identical to an undisturbed serial run;
+* **an outside SIGKILL** of a live worker while slow jobs run, or of an
+  idle worker between two jobs;
+* **a poison job** that kills every worker it touches — it alone fails
+  (its dependents are skipped) after :data:`WORKER_DEATHS` deaths, and
+  the run returns instead of crash-looping.
 """
 
 from __future__ import annotations
@@ -29,44 +20,31 @@ import signal
 import threading
 import time
 
-import pytest
-
 from repro.orchestrate.job import Job
-from repro.orchestrate.runner import Runner
-from repro.orchestrate.sched import Coordinator, Journal, ShardScheduler
+from repro.orchestrate.runlog import read_events
+from repro.orchestrate.runner import WORKER_DEATHS, Runner
 from repro.orchestrate.store import ResultStore
-from tests.orchestrate._jobfns import executions
+from tests.orchestrate._jobfns import read_log
 
-MOD = "tests.orchestrate._schedfns"
-JOBMOD = "tests.orchestrate._jobfns"
-
-#: Shard count for the kill drills (CI overrides with SCHED_FAULT_SHARDS=4).
-SHARDS = int(os.environ.get("SCHED_FAULT_SHARDS", "2"))
+MOD = "tests.orchestrate._jobfns"
 
 
-def _fault_graph(tmp_path, *, killers: int) -> list[Job]:
-    """A diamond-ish graph where ``killers`` leaves SIGKILL their worker."""
-    jobs = []
-    leaf_names = []
-    for i in range(4):
-        name = f"leaf{i}"
-        leaf_names.append(name)
-        if i < killers:
-            jobs.append(Job(
-                name=name, fn=f"{MOD}:kill_self_unless",
-                params={"marker": str(tmp_path / f"killed-{i}"),
-                        "value": i + 1},
-                render=f"{JOBMOD}:render_int", artifact=f"{name}.txt"))
-        else:
-            jobs.append(Job(
-                name=name, fn=f"{JOBMOD}:leaf", params={"value": i + 1},
-                render=f"{JOBMOD}:render_int", artifact=f"{name}.txt"))
-    jobs.append(Job(name="mid", fn=f"{JOBMOD}:add",
-                    deps=tuple(leaf_names[:2]),
-                    render=f"{JOBMOD}:render_int", artifact="mid.txt"))
-    jobs.append(Job(name="top", fn=f"{JOBMOD}:add", params={"bonus": 100},
-                    deps=("mid", *leaf_names[2:]),
-                    render=f"{JOBMOD}:render_int", artifact="top.txt"))
+def _fault_graph(tmp_path) -> list[Job]:
+    """A diamond-ish graph whose first leaf SIGKILLs its worker once."""
+    jobs = [Job(name="leaf0", fn=f"{MOD}:kill_self_unless",
+                params={"marker": str(tmp_path / "killed"), "value": 1},
+                render=f"{MOD}:render_int", artifact="leaf0.txt")]
+    for i in range(1, 4):
+        jobs.append(Job(
+            name=f"leaf{i}", fn=f"{MOD}:logged_leaf",
+            params={"path": str(tmp_path / "exec.log"), "name": f"leaf{i}",
+                    "value": i + 1, "delay_s": 0.3},
+            render=f"{MOD}:render_int", artifact=f"leaf{i}.txt"))
+    jobs.append(Job(name="mid", fn=f"{MOD}:add", deps=("leaf0", "leaf1"),
+                    render=f"{MOD}:render_int", artifact="mid.txt"))
+    jobs.append(Job(name="top", fn=f"{MOD}:add", params={"bonus": 100},
+                    deps=("mid", "leaf2", "leaf3"),
+                    render=f"{MOD}:render_int", artifact="top.txt"))
     return jobs
 
 
@@ -77,192 +55,120 @@ def _artifact_bytes(results_dir) -> dict[str, bytes]:
 
 class TestWorkerKills:
     def test_sigkilled_workers_recover_and_match_serial(self, tmp_path):
-        """>= 25% of the crew dies mid-job; the sweep still converges."""
-        killers = max(1, (SHARDS + 3) // 4)
-        jobs = _fault_graph(tmp_path, killers=killers)
-
-        faulted = Runner(
-            jobs, store=ResultStore(tmp_path / "shard-cache"),
-            results_dir=tmp_path / "shard-results",
-            scheduler="shard", shards=SHARDS, lease_ttl_s=1.0,
-            sched_options={"poll_s": 0.02})
+        """A job kills its worker once; the sweep still converges."""
+        jobs = _fault_graph(tmp_path)
+        log = tmp_path / "run.jsonl"
+        faulted = Runner(jobs, store=ResultStore(tmp_path / "pool-cache"),
+                         results_dir=tmp_path / "pool-results",
+                         workers=2, log_path=log)
         summary = faulted.run(["top"])
 
         assert summary.ok, [(o.name, o.error) for o in summary.outcomes]
         assert {o.status for o in summary.outcomes} == {"ran"}
-        counters = summary.scheduler
-        # each killer takes down the worker hosting it exactly once
-        assert counters["worker_deaths"] >= killers
-        assert counters["expired"] >= killers
-        assert counters["requeues"] >= killers
-        # exactly-once accounting: one accepted commit per executed job
-        assert counters["commits"] == len(jobs)
+        deaths = [e for e in read_events(log)
+                  if e["event"] == "worker_died"]
+        assert deaths and "leaf0" in deaths[0]["jobs"]
 
-        # markers now exist, so a serial run computes the same values
+        # the marker now exists, so a serial run computes the same values
         serial = Runner(jobs, store=ResultStore(tmp_path / "serial-cache"),
                         results_dir=tmp_path / "serial-results")
         serial_summary = serial.run(["top"])
         assert serial_summary.ok
-        assert serial_summary.results["top"] == summary.results["top"]
-        shard_bytes = _artifact_bytes(tmp_path / "shard-results")
+        assert serial_summary.results == summary.results
+        pool_bytes = _artifact_bytes(tmp_path / "pool-results")
         serial_bytes = _artifact_bytes(tmp_path / "serial-results")
-        assert shard_bytes and shard_bytes == serial_bytes
+        assert len(pool_bytes) == len(jobs)
+        assert pool_bytes == serial_bytes
 
     def test_external_sigkill_storm(self, tmp_path):
-        """Kill live workers from outside while slow jobs are in flight."""
+        """Kill a live worker from outside while slow jobs are in flight."""
+        log_path = str(tmp_path / "exec.log")
         jobs = [Job(name=f"slow{i}", fn=f"{MOD}:logged_leaf",
-                    params={"path": str(tmp_path / "exec.log"),
-                            "name": f"slow{i}", "value": i,
-                            "delay_s": 0.4})
-                for i in range(SHARDS * 2)]
-        keys_runner = Runner(jobs, store=ResultStore(tmp_path / "cache"),
-                             scheduler="shard")
-        order, keys = keys_runner.plan([j.name for j in jobs])
-        scheduler = ShardScheduler(
-            order, keys, keys_runner.store, shards=SHARDS,
-            lease_ttl_s=1.0, poll_s=0.02)
-
-        report_box: dict = {}
-        runner_thread = threading.Thread(
-            target=lambda: report_box.update(report=scheduler.run()))
-        runner_thread.start()
-        killed = 0
-        want = max(1, SHARDS // 4 + (SHARDS % 4 > 0))  # >= 25% of the crew
-        deadline = time.monotonic() + 30.0
-        while killed < want and time.monotonic() < deadline:
-            pids = scheduler.worker_pids()
-            if pids:
-                try:
-                    os.kill(pids[0], signal.SIGKILL)
-                    killed += 1
-                except ProcessLookupError:
-                    pass
-                time.sleep(0.3)
-            else:
-                time.sleep(0.05)
-        runner_thread.join(timeout=120.0)
-        assert not runner_thread.is_alive(), "sharded run hung after kills"
-        report = report_box["report"]
-        assert killed >= want
-        assert report.ok, [(o["name"], o["error"]) for o in report.outcomes]
-        assert report.counters["worker_deaths"] >= killed
-        assert report.counters["commits"] == len(jobs)
-        # every job's result is durable and correct
-        for job in jobs:
-            entry = keys_runner.store.load(keys[job.name])
-            assert entry is not None
-            assert entry.result == job.params["value"]
-
-
-class TestLostHeartbeats:
-    def test_dropped_heartbeats_expire_but_first_commit_wins(self, tmp_path):
-        jobs = [Job(name=f"j{i}", fn=f"{MOD}:logged_leaf",
-                    params={"path": str(tmp_path / "exec.log"),
-                            "name": f"j{i}", "value": i, "delay_s": 0.5})
-                for i in range(3)]
+                    params={"path": log_path, "name": f"slow{i}",
+                            "value": i, "delay_s": 0.4})
+                for i in range(4)]
         runner = Runner(jobs, store=ResultStore(tmp_path / "cache"),
-                        scheduler="shard", shards=2, lease_ttl_s=0.15,
-                        sched_options={"worker_mode": "thread",
-                                       "drop_heartbeats": True,
-                                       "poll_s": 0.02,
-                                       "max_requeues": 50})
-        summary = runner.run([j.name for j in jobs])
+                        workers=2)
+        box: dict = {}
+        thread = threading.Thread(
+            target=lambda: box.update(summary=runner.run()))
+        thread.start()
+        killed = None
+        deadline = time.monotonic() + 30.0
+        while killed is None and time.monotonic() < deadline:
+            # the worker running the first job, while it sleeps
+            started = [line.split() for line in read_log(log_path)
+                       if line.startswith("start slow0 ")]
+            if started:
+                killed = int(started[0][2])
+                os.kill(killed, signal.SIGKILL)
+            else:
+                time.sleep(0.01)
+        thread.join(timeout=60.0)
+        assert not thread.is_alive(), "pooled run hung after the kill"
+        assert killed is not None
+        summary = box["summary"]
         assert summary.ok, [(o.name, o.error) for o in summary.outcomes]
-        counters = summary.scheduler
-        # with no heartbeats every 0.5s job outlives its 0.15s lease
-        assert counters["expired"] >= len(jobs)
-        assert counters["late_commits"] >= 1
-        # accepted commits stay exactly-once; the re-dispatched attempts
-        # that lost the race are accounted as duplicates, not results
-        assert counters["commits"] == len(jobs)
-        for i, job in enumerate(jobs):
-            entry = runner.store.load(runner.plan([job.name])[1][job.name])
-            assert entry is not None and entry.result == i
+        assert {o.status for o in summary.outcomes} == {"ran"}
+        assert summary.results == {job.name: job.params["value"]
+                                   for job in jobs}
+        # the killed job really was re-run, in another process
+        assert sum(line.startswith("start slow0 ")
+                   for line in read_log(log_path)) == 2
 
+    def test_worker_dies_between_jobs(self, tmp_path, monkeypatch):
+        """An idle worker dies before the next job is submitted."""
+        log_path = str(tmp_path / "exec.log")
+        jobs = [Job(name="a", fn=f"{MOD}:logged_leaf",
+                    params={"path": log_path, "name": "a", "value": 2}),
+                Job(name="b", fn=f"{MOD}:add", params={"bonus": 1},
+                    deps=("a",))]
+        store_result = Runner._store_result
 
-class TestCoordinatorCrash:
-    def test_resume_from_journal_after_crash_between_lease_and_commit(
-            self, tmp_path):
-        counter_a = tmp_path / "a.count"
-        jobs = [
-            Job(name="a", fn=f"{JOBMOD}:tally",
-                params={"path": str(counter_a), "value": 5}),
-            Job(name="b", fn=f"{JOBMOD}:leaf", params={"value": 6}),
-            Job(name="sum", fn=f"{JOBMOD}:add", deps=("a", "b")),
-        ]
-        store = ResultStore(tmp_path / "cache")
-        order, keys = Runner(jobs, store=store).plan(["sum"])
-        run_id = "crashrun"
-        journal_root = tmp_path / "journal"
+        def kill_then_store(self, job, *args):
+            if job.name == "a":
+                # the worker that ran "a" is idle now; b is not yet ready
+                os.kill(int(read_log(log_path)[0].split()[2]),
+                        signal.SIGKILL)
+                time.sleep(0.5)  # let the pool notice the dead worker
+            return store_result(self, job, *args)
 
-        # --- first attempt: commit "a", lease "b", then die ------------
-        journal = Journal(journal_root, run_id)
-        coordinator = Coordinator(lease_ttl_s=5.0, journal=journal)
-        for job in order:
-            coordinator.add_job(job, keys[job.name],
-                                {dep: keys[dep] for dep in job.deps})
-        lease_a = coordinator.handle({"type": "request", "worker": "w0"})
-        assert lease_a["type"] == "lease" and lease_a["job"].name == "a"
-        result_a = lease_a["job"].execute(None)
-        store.save(keys["a"], result_a, {"job": "a", "elapsed_s": 0.0})
-        ack = coordinator.handle({
-            "type": "commit", "job": "a", "lease_id": lease_a["lease_id"],
-            "worker": "w0", "elapsed_s": 0.0, "max_rss_kb": 0})
-        assert ack["accepted"]
-        lease_b = coordinator.handle({"type": "request", "worker": "w0"})
-        assert lease_b["type"] == "lease" and lease_b["job"].name == "b"
-        journal.close()  # crash: lease for "b" granted, never committed
-        del coordinator
-
-        # --- resume under the same run id, with force=True -------------
-        resumed = ShardScheduler(
-            order, keys, store, shards=2, worker_mode="thread",
-            force=True, run_id=run_id, journal_root=journal_root,
-            lease_ttl_s=5.0, poll_s=0.01).run()
-        assert resumed.ok, [(o["name"], o["error"])
-                            for o in resumed.outcomes]
-        by_name = {o["name"]: o for o in resumed.outcomes}
-        # "a" was resolved from the journal, not re-executed — the
-        # journal's distinct value over the warm store under --force
-        assert by_name["a"]["resolved"] == "resumed"
-        assert executions(str(counter_a)) == 1
-        assert by_name["b"]["status"] == "ran"
-        assert by_name["sum"]["status"] == "ran"
-        entry = store.load(keys["sum"])
-        assert entry is not None and entry.result == 11
-
-    def test_journal_resume_is_idempotent(self, tmp_path):
-        """Re-running a completed run's id re-resolves everything."""
-        counter = tmp_path / "t.count"
-        jobs = [Job(name="t", fn=f"{JOBMOD}:tally",
-                    params={"path": str(counter), "value": 9})]
-        store = ResultStore(tmp_path / "cache")
-        order, keys = Runner(jobs, store=store).plan(["t"])
-        options = dict(shards=1, worker_mode="thread", run_id="twice",
-                       journal_root=tmp_path / "journal", poll_s=0.01)
-        first = ShardScheduler(order, keys, store, **options).run()
-        assert first.ok and executions(str(counter)) == 1
-        again = ShardScheduler(order, keys, store, force=True,
-                               **options).run()
-        assert again.ok
-        assert again.outcomes[0]["resolved"] == "resumed"
-        assert executions(str(counter)) == 1  # never re-executed
+        monkeypatch.setattr(Runner, "_store_result", kill_then_store)
+        run_log = tmp_path / "run.jsonl"
+        summary = Runner(jobs, store=ResultStore(tmp_path / "cache"),
+                         workers=2, log_path=run_log).run()
+        assert summary.ok, [(o.name, o.error) for o in summary.outcomes]
+        assert summary.results == {"a": 2, "b": 3}
+        deaths = [e for e in read_events(run_log)
+                  if e["event"] == "worker_died"]
+        assert len(deaths) == 1
+        # the next submission found the pool broken (nothing lost), or
+        # b was on it when the break showed (b charged, then re-run)
+        assert deaths[0]["charged"] in (None, "b")
 
 
 class TestAbort:
     def test_job_that_kills_every_host_eventually_fails(self, tmp_path):
-        """A poison job must exhaust its requeue budget, not crash-loop."""
-        jobs = [Job(name="poison", fn=f"{MOD}:kill_self_always")]
+        """A poison job must exhaust its death budget, not crash-loop."""
+        log = tmp_path / "run.jsonl"
+        jobs = [Job(name="poison", fn=f"{MOD}:kill_self_always"),
+                Job(name="child", fn=f"{MOD}:add", deps=("poison",)),
+                Job(name="beside", fn=f"{MOD}:logged_leaf",
+                    params={"path": str(tmp_path / "exec.log"),
+                            "name": "beside", "value": 4,
+                            "delay_s": 0.3})]
         runner = Runner(jobs, store=ResultStore(tmp_path / "cache"),
-                        scheduler="shard", shards=2, lease_ttl_s=0.5,
-                        sched_options={"max_requeues": 2, "poll_s": 0.02})
-        summary = runner.run(["poison"])
+                        workers=2, log_path=log)
+        start = time.monotonic()
+        summary = runner.run(["child", "beside"])
+        assert time.monotonic() - start < 30.0
         assert not summary.ok
-        outcome = summary.outcomes[0]
-        assert outcome.status == "failed"
-        assert outcome.error
-        assert summary.scheduler["worker_deaths"] >= 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(pytest.main([__file__, "-v"]))
+        assert summary.outcome("poison").status == "failed"
+        assert "WorkerDied" in summary.outcome("poison").error
+        assert summary.outcome("child").status == "skipped"
+        assert summary.outcome("beside").status == "ran"
+        assert summary.results["beside"] == 4
+        charged = [e["charged"] for e in read_events(log)
+                   if e["event"] == "worker_died"]
+        assert charged.count("poison") == WORKER_DEATHS
+        assert "beside" not in charged

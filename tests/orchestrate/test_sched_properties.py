@@ -1,25 +1,19 @@
-"""Property tests for the sharded scheduler (random DAGs, shard counts).
+"""Property tests for the pooled runner (random DAGs, pool widths).
 
 Hypothesis drives randomized job graphs — each job's dependencies drawn
-from the jobs before it, so every drawn graph is a DAG — across shard
-counts and steal settings, asserting the scheduler's invariants:
+from the jobs before it, so every drawn graph is a DAG — across pool
+widths, asserting the runner's invariants:
 
 * **dependency order**: a job never starts before every dependency has
   finished (observed through the shared append-only execution log);
 * **exactly-once**: no job is executed twice for the same cache key
-  (one ``start`` line per job, one accepted commit per job);
+  (one ``start`` line per job);
 * **completion**: every job reaches ``ran`` and its result equals the
-  serial semantics of the same graph.
-
-A separate deterministic test forces the one scenario randomness can't
-reliably reach — a genuine steal race — and checks the stolen lease
-never *races* its original owner in the accounting: the winner's commit
-is accepted, the loser's is recorded as a duplicate, and the stored
-result is the winner's bytes (identical anyway, by purity).
-
-Thread-mode workers over the in-process transport keep each example in
-the tens of milliseconds; the coordinator code under test is byte-for-
-byte the one process workers talk to over sockets.
+  serial semantics of the same graph;
+* **warm reruns**: a second run answers every job from the store and
+  executes nothing;
+* **worker deaths**: a leaf that kills its worker once changes no
+  result and no status, wherever it sits in the graph.
 """
 
 from __future__ import annotations
@@ -36,11 +30,10 @@ except ImportError:  # pragma: no cover - hypothesis ships in the image
 
 from repro.orchestrate.job import Job
 from repro.orchestrate.runner import Runner
-from repro.orchestrate.sched import ShardScheduler
 from repro.orchestrate.store import ResultStore
-from tests.orchestrate._schedfns import read_log
+from tests.orchestrate._jobfns import read_log
 
-MOD = "tests.orchestrate._schedfns"
+MOD = "tests.orchestrate._jobfns"
 
 
 @st.composite
@@ -89,39 +82,28 @@ def _serial_values(count: int, deps: list[tuple[int, ...]]) -> dict[str, int]:
 
 class TestRandomDags:
     @settings(max_examples=25, deadline=None)
-    @given(dag=dags(), shards=st.integers(min_value=1, max_value=3),
-           steal=st.booleans())
-    def test_order_exactly_once_and_completion(self, dag, shards, steal):
+    @given(dag=dags(), workers=st.integers(min_value=2, max_value=3))
+    def test_order_exactly_once_and_completion(self, dag, workers):
         count, deps = dag
-        with tempfile.TemporaryDirectory(prefix="sched-prop-") as tmp:
+        with tempfile.TemporaryDirectory(prefix="pool-prop-") as tmp:
             tmp_path = Path(tmp)
             log_path = str(tmp_path / "exec.log")
             jobs = _build_jobs(count, deps, log_path)
-            store = ResultStore(tmp_path / "cache")
-            order, keys = Runner(jobs, store=store).plan(
-                [j.name for j in jobs])
-            report = ShardScheduler(
-                order, keys, store, shards=shards, steal=steal,
-                # fast jobs never straggle long enough to be stolen, so
-                # steal=True exercises the code path without firing
-                steal_after_s=30.0, lease_ttl_s=30.0,
-                worker_mode="thread", poll_s=0.005,
-                journal_root=tmp_path / "journal").run()
+            summary = Runner(jobs, store=ResultStore(tmp_path / "cache"),
+                             workers=workers).run()
 
-            assert report.ok, [(o["name"], o["error"])
-                               for o in report.outcomes]
-            assert {o["status"] for o in report.outcomes} == {"ran"}
+            assert summary.ok, [(o.name, o.error)
+                                for o in summary.outcomes]
+            assert {o.status for o in summary.outcomes} == {"ran"}
 
             lines = read_log(log_path)
             starts = {line.split()[1]: i for i, line in enumerate(lines)
                       if line.startswith("start ")}
             ends = {line.split()[1]: i for i, line in enumerate(lines)
                     if line.startswith("end ")}
-            # exactly-once: one execution per job, one accepted commit
+            # exactly-once: one execution per job
             assert sum(1 for line in lines
                        if line.startswith("start ")) == count
-            assert report.counters["commits"] == count
-            assert report.counters["dup_commits"] == 0
             # dependency order: dep finished before dependent started
             for index in range(count):
                 for dep in deps[index]:
@@ -129,86 +111,61 @@ class TestRandomDags:
                         f"j{index} started before its dep j{dep} ended: "
                         f"{lines}")
             # results match the graph's serial semantics
-            expected = _serial_values(count, deps)
-            for job in jobs:
-                entry = store.load(keys[job.name])
-                assert entry is not None
-                assert entry.result == expected[job.name]
+            assert summary.results == _serial_values(count, deps)
 
     @settings(max_examples=10, deadline=None)
-    @given(dag=dags(), shards=st.integers(min_value=1, max_value=3))
-    def test_warm_rerun_executes_nothing(self, dag, shards):
+    @given(dag=dags(), workers=st.integers(min_value=2, max_value=3),
+           data=st.data())
+    def test_one_worker_death_changes_nothing(self, dag, workers, data):
         count, deps = dag
-        with tempfile.TemporaryDirectory(prefix="sched-warm-") as tmp:
+        killer = data.draw(st.sampled_from(
+            [index for index in range(count) if not deps[index]]))
+        with tempfile.TemporaryDirectory(prefix="pool-death-") as tmp:
+            tmp_path = Path(tmp)
+            log_path = str(tmp_path / "exec.log")
+            jobs = _build_jobs(count, deps, log_path)
+            jobs[killer] = Job(
+                name=f"j{killer}", fn=f"{MOD}:kill_self_unless",
+                params={"marker": str(tmp_path / "killed"),
+                        "value": killer + 1})
+            summary = Runner(jobs, store=ResultStore(tmp_path / "cache"),
+                             workers=workers).run()
+
+            assert summary.ok, [(o.name, o.error)
+                                for o in summary.outcomes]
+            assert {o.status for o in summary.outcomes} == {"ran"}
+            assert summary.results == _serial_values(count, deps)
+            # a job lost with the killer's worker starts again, but never
+            # before its dependencies have ended
+            lines = read_log(log_path)
+            for index in range(count):
+                started = [i for i, line in enumerate(lines)
+                           if line.startswith(f"start j{index} ")]
+                for dep in deps[index]:
+                    ended = [i for i, line in enumerate(lines)
+                             if line == f"end j{dep}"]
+                    assert not started or not ended or \
+                        max(ended) < min(started), lines
+
+    @settings(max_examples=10, deadline=None)
+    @given(dag=dags(), workers=st.integers(min_value=2, max_value=3))
+    def test_warm_rerun_executes_nothing(self, dag, workers):
+        count, deps = dag
+        with tempfile.TemporaryDirectory(prefix="pool-warm-") as tmp:
             tmp_path = Path(tmp)
             log_path = str(tmp_path / "exec.log")
             jobs = _build_jobs(count, deps, log_path)
             store = ResultStore(tmp_path / "cache")
-            order, keys = Runner(jobs, store=store).plan(
-                [j.name for j in jobs])
-            options = dict(shards=shards, worker_mode="thread",
-                           poll_s=0.005, journal_root=None)
-            first = ShardScheduler(order, keys, store, **options).run()
+            first = Runner(jobs, store=store, workers=workers).run()
             assert first.ok
             executed_cold = len(read_log(log_path))
-            second = ShardScheduler(order, keys, store, **options).run()
+            second = Runner(jobs, store=store, workers=workers).run()
             assert second.ok
-            # warm pass resolved everything from the store: the log did
-            # not grow, and no leases were ever granted
+            # the warm pass resolved everything from the store: the log
+            # did not grow
             assert len(read_log(log_path)) == executed_cold
-            assert second.counters["leases"] == 0
-            assert all(o["resolved"] == "hit" for o in second.outcomes)
-
-
-class TestStealRace:
-    def test_stolen_lease_never_races_its_owner(self, tmp_path):
-        """Deterministic straggler: steal fires, both finish, one wins."""
-        log = tmp_path / "exec.log"
-        jobs = [
-            Job(name="straggler", fn=f"{MOD}:straggle_once",
-                params={"slow_marker": str(tmp_path / "slow"),
-                        "gate": str(tmp_path / "gate")}),
-            Job(name="filler", fn=f"{MOD}:logged_leaf",
-                params={"path": str(log), "name": "filler", "value": 2}),
-        ]
-        store = ResultStore(tmp_path / "cache")
-        order, keys = Runner(jobs, store=store).plan(
-            [j.name for j in jobs])
-        report = ShardScheduler(
-            order, keys, store, shards=2, steal=True, steal_after_s=0.2,
-            lease_ttl_s=60.0,  # expiry can never explain a second lease
-            worker_mode="thread", poll_s=0.01,
-            journal_root=tmp_path / "journal").run()
-
-        assert report.ok, [(o["name"], o["error"])
-                           for o in report.outcomes]
-        counters = report.counters
-        # exactly one steal, and the race resolved to one accepted
-        # commit (the stolen runner) plus one recorded duplicate (the
-        # original, released by the winner opening the gate)
-        assert counters["stolen"] == 1
-        assert counters["expired"] == 0
-        assert counters["commits"] == len(jobs)
-        assert counters["dup_commits"] == 1
-        by_name = {o["name"]: o for o in report.outcomes}
-        assert by_name["straggler"]["attempts"] == 2
-        entry = store.load(keys["straggler"])
-        assert entry is not None and entry.result == 11
-
-    def test_steal_disabled_never_grants_second_lease(self, tmp_path):
-        jobs = [Job(name="slowpoke", fn=f"{MOD}:logged_leaf",
-                    params={"path": str(tmp_path / "exec.log"),
-                            "name": "slowpoke", "delay_s": 0.5})]
-        store = ResultStore(tmp_path / "cache")
-        order, keys = Runner(jobs, store=store).plan(["slowpoke"])
-        report = ShardScheduler(
-            order, keys, store, shards=2, steal=False,
-            steal_after_s=0.05, lease_ttl_s=60.0,
-            worker_mode="thread", poll_s=0.01,
-            journal_root=None).run()
-        assert report.ok
-        assert report.counters["leases"] == 1
-        assert report.counters["stolen"] == 0
+            assert {o.status for o in second.outcomes} == {"hit"}
+            assert second.results == first.results
 
 
 if __name__ == "__main__":

@@ -1,20 +1,16 @@
-"""The shard scheduler behind its two production fronts.
+"""The runner's parallel mode against the serial runner.
 
-``Runner(scheduler="shard")`` must be observationally identical to the
-serial runner — same results, same statuses, byte-identical artifacts —
-with the scheduling counters surfaced on the summary; ``repro serve
---scheduler shard`` must answer queries through a persistent
-:class:`ShardPool` with the same cache keys the CLI sweep warms.
+``Runner(workers=2)`` shards a job graph over a process pool; it must be
+observationally identical to the serial runner — same results, same
+statuses, byte-identical artifacts — and share its cache keys, so a
+store one mode warmed answers the other with hits only.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.orchestrate.job import Job
 from repro.orchestrate.runner import Runner
 from repro.orchestrate.store import ResultStore
-from repro.serve import ServeClient, serve_in_thread
 
 MOD = "tests.orchestrate._jobfns"
 
@@ -42,96 +38,25 @@ class TestRunnerShardMode:
     def test_matches_serial_byte_for_byte(self, tmp_path):
         serial = Runner(diamond(), store=ResultStore(tmp_path / "c1"),
                         results_dir=tmp_path / "r1")
-        sharded = Runner(diamond(), store=ResultStore(tmp_path / "c2"),
-                         results_dir=tmp_path / "r2",
-                         scheduler="shard", shards=2,
-                         sched_options={"worker_mode": "thread"})
+        pooled = Runner(diamond(), store=ResultStore(tmp_path / "c2"),
+                        results_dir=tmp_path / "r2", workers=2)
         serial_summary = serial.run(["top"])
-        shard_summary = sharded.run(["top"])
-        assert serial_summary.ok and shard_summary.ok
-        assert shard_summary.results == serial_summary.results
-        assert _artifact_bytes(tmp_path / "r1") == \
-            _artifact_bytes(tmp_path / "r2")
-        # the counters ride on the summary (and its JSON form)
-        assert shard_summary.scheduler["commits"] == 4
-        assert shard_summary.to_dict()["scheduler"]["leases"] == 4
-        assert "scheduler" not in serial_summary.to_dict()
+        pool_summary = pooled.run(["top"])
+        assert serial_summary.ok and pool_summary.ok
+        assert pool_summary.results == serial_summary.results
+        assert {o.name: o.status for o in pool_summary.outcomes} == \
+               {o.name: o.status for o in serial_summary.outcomes}
+        artifacts = _artifact_bytes(tmp_path / "r1")
+        assert len(artifacts) == 4
+        assert artifacts == _artifact_bytes(tmp_path / "r2")
+        # the summary's JSON form does not depend on the mode
+        assert pool_summary.to_dict().keys() == \
+            serial_summary.to_dict().keys()
 
     def test_warm_cache_shared_with_serial(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
-        Runner(diamond(), store=store).run(["top"])
-        warm = Runner(diamond(), store=store, scheduler="shard",
-                      shards=2,
-                      sched_options={"worker_mode": "thread"}).run(["top"])
+        cold = Runner(diamond(), store=store).run(["top"])
+        warm = Runner(diamond(), store=store, workers=2).run(["top"])
         assert warm.ok
         assert {o.status for o in warm.outcomes} == {"hit"}
-        assert warm.scheduler["leases"] == 0
-
-    def test_failure_and_skip_propagate(self, tmp_path):
-        jobs = [Job(name="bad", fn=f"{MOD}:boom"),
-                Job(name="child", fn=f"{MOD}:add", deps=("bad",))]
-        summary = Runner(
-            jobs, store=ResultStore(tmp_path / "cache"),
-            scheduler="shard", shards=2,
-            sched_options={"worker_mode": "thread"}).run(["child"])
-        assert not summary.ok
-        by_name = {o.name: o for o in summary.outcomes}
-        assert by_name["bad"].status == "failed"
-        assert "deliberate test failure" in by_name["bad"].error
-        assert by_name["child"].status == "skipped"
-
-    def test_scheduler_knob_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            Runner(diamond(), store=ResultStore(tmp_path),
-                   scheduler="quantum")
-        # auto resolution: shards set -> shard; workers>1 -> pool
-        assert Runner(diamond(), store=ResultStore(tmp_path),
-                      shards=3).scheduler == "shard"
-        assert Runner(diamond(), store=ResultStore(tmp_path),
-                      workers=2).scheduler == "pool"
-        assert Runner(diamond(),
-                      store=ResultStore(tmp_path)).scheduler == "serial"
-        # shard count defaults to the worker width
-        assert Runner(diamond(), store=ResultStore(tmp_path),
-                      workers=3, scheduler="shard").shards == 3
-
-
-class TestServeShardMode:
-    @pytest.fixture(scope="class")
-    def server(self, tmp_path_factory):
-        tmp = tmp_path_factory.mktemp("serve-shard")
-        registry = {job.name: job for job in diamond()}
-        handle = serve_in_thread(
-            registry=registry, store=ResultStore(tmp / "cache"),
-            workers=2, scheduler="shard")
-        yield handle
-        handle.stop()
-
-    def test_query_resolves_through_shard_pool(self, server):
-        client = ServeClient(port=server.port)
-        payload = client.query({"sweep": ["top"]})
-        assert payload["ok"] is True
-        (result,) = payload["results"]
-        assert result["name"] == "top" and result["result"] == 121
-        assert result["status"] == "computed"
-
-        stats = client.stats()
-        assert stats["scheduler"] == "shard"
-        assert stats["shard"]["shards"] == 2
-        assert stats["shard"]["commits"] >= 4
-        assert stats["shard"]["alive"] >= 1
-
-        # identical re-query answers warm from the store
-        again = client.query({"sweep": ["top"]})
-        assert again["results"][0]["status"] == "hit"
-
-    def test_rejects_unknown_scheduler(self, tmp_path):
-        from repro.serve.service import JobService
-
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            JobService(registry={}, store=ResultStore(tmp_path),
-                       scheduler="quantum")
-
-
-if __name__ == "__main__":
-    raise SystemExit(pytest.main([__file__, "-v"]))
+        assert warm.results == cold.results

@@ -1,8 +1,8 @@
 """Concurrency stress: many processes sharing one ResultStore.
 
 The store is the shared substrate under ``repro serve`` and
-multi-process sweeps — and, with the sharded scheduler, under workers
-that may live on *different hosts* whose clocks disagree — so N
+multi-process sweeps — and, for a cache directory shared between
+*different hosts*, under processes whose clocks disagree — so N
 processes hammering overlapping keys with save/load/discard must never
 crash, and no reader may ever observe a partial (torn) entry — atomic
 temp+fsync+replace writes and the corruption-only eviction policy
@@ -53,7 +53,8 @@ class TestMultiProcessStress:
 
 class TestSkewedClockContention:
     """Two stores on one cache dir, as if mounted from hosts whose
-    clocks disagree — shard workers on remote machines do exactly this.
+    clocks disagree — sweeps on two machines sharing one cache directory
+    do exactly this.
     """
 
     def _temp(self, store: ResultStore, key: str, age_s: float):

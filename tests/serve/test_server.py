@@ -60,7 +60,8 @@ class TestEndpoints:
     def test_stats_shape(self, client):
         stats = client.stats()
         for field in ("uptime_s", "requests", "hits", "computed",
-                      "coalesced", "inflight", "cache_dir"):
+                      "coalesced", "errors", "worker_deaths", "inflight",
+                      "cache_dir"):
             assert field in stats
 
     def test_unknown_path_is_404(self, client):
@@ -131,8 +132,8 @@ class TestCoalescing:
         def fire(_):
             return ServeClient(port=server.port).query(body)
 
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            responses = list(pool.map(fire, range(6)))
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            responses = list(pool.map(fire, range(8)))
         executions = len(
             server.slow_path.read_text().splitlines())
         assert executions == 1  # the ground truth: one appended line
@@ -140,6 +141,90 @@ class TestCoalescing:
         after = client.stats()
         assert after["computed"] - before["computed"] == 1
         assert after["coalesced"] - before["coalesced"] >= 1
+
+
+class TestWorkerDeaths:
+    """A job that SIGKILLs its pool worker must not take the daemon down."""
+
+    @pytest.fixture(scope="class")
+    def deaths_server(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("serve-deaths")
+        mod = "tests.orchestrate._jobfns"
+        registry = {
+            "killer": Job(name="killer", fn=f"{mod}:kill_self_unless",
+                          params={"marker": str(tmp / "killed"),
+                                  "value": 3}),
+            "poison": Job(name="poison", fn=f"{mod}:kill_self_always",
+                          params={"delay_s": 0.3}),
+            "leaf": Job(name="leaf", fn=f"{mod}:leaf",
+                        params={"value": 5}),
+            "other": Job(name="other", fn=f"{mod}:leaf",
+                         params={"value": 8}),
+            "killer2": Job(name="killer2", fn=f"{mod}:kill_self_unless",
+                           params={"marker": str(tmp / "killed2"),
+                                   "value": 4}),
+            **{f"slow{i}": Job(name=f"slow{i}", fn=f"{mod}:slow_tally",
+                               params={"path": str(tmp / f"slow{i}.txt"),
+                                       "value": i, "delay_s": 0.5})
+               for i in range(3)},
+        }
+        handle = serve_in_thread(registry=registry,
+                                 store=ResultStore(tmp / "cache"),
+                                 workers=2)
+        yield handle
+        handle.stop()
+
+    def test_unrelated_query_after_a_worker_death(self, deaths_server):
+        client = ServeClient(port=deaths_server.port)
+        killed = client.query({"job": "killer"})  # retried on a new pool
+        assert killed["results"][0]["result"] == 3
+        other = client.query({"job": "other"})
+        assert other["results"][0]["status"] == "computed"
+        assert other["results"][0]["result"] == 8
+        stats = client.stats()
+        assert stats["worker_deaths"] >= 1
+        assert stats["errors"] == 0
+
+    def test_flights_broken_together_replace_the_pool_once(
+            self, deaths_server):
+        client = ServeClient(port=deaths_server.port)
+        before = client.stats()["worker_deaths"]
+        # with two workers, the killer always dies beside or ahead of a
+        # slow job, so at least two flights see the same break
+        response = client.query(
+            {"sweep": ["killer2", "slow0", "slow1", "slow2"]})
+        assert [r["result"] for r in response["results"]] == [4, 0, 1, 2]
+        assert client.stats()["worker_deaths"] == before + 1
+
+    def test_poison_answers_503_to_every_coalesced_client(
+            self, deaths_server):
+        client = ServeClient(port=deaths_server.port)
+        before = client.stats()
+
+        def fire(_):
+            try:
+                ServeClient(port=deaths_server.port).query(
+                    {"job": "poison"})
+            except ServeError as error:
+                return error.status, str(error)
+            return 200, ""
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            answers = list(pool.map(fire, range(4)))
+        assert [status for status, _ in answers] == [503] * 4
+        assert all("WorkerDied" in message for _, message in answers)
+        after = client.stats()
+        assert after["coalesced"] > before["coalesced"]
+        assert after["worker_deaths"] >= before["worker_deaths"] + 2
+        # the daemon keeps answering, cold work included
+        assert client.healthz()["ok"]
+        assert client.query({"job": "leaf"})["results"][0]["result"] == 5
+        # a tracked job of the same poison ends failed
+        job_id = client.submit({"job": "poison"})
+        events = list(client.events(job_id))
+        assert events[-1]["event"] == "failed"
+        assert "WorkerDied" in events[-1]["error"]
+        assert client.job(job_id)["status"] == "failed"
 
 
 class TestTrackedJobs:

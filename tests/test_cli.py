@@ -298,6 +298,27 @@ class TestSweepCommand:
         assert "1 ran" in capsys.readouterr().out
 
 
+    def test_smoke_runs_on_the_jobs_width(self, capsys, tmp_path,
+                                          monkeypatch):
+        import repro.orchestrate
+        from repro.orchestrate.runlog import read_events
+
+        # a one-job selection keeps the cold pass short
+        monkeypatch.setattr(repro.orchestrate, "smoke_sweep",
+                            lambda: ("fig4",))
+        monkeypatch.setattr(repro.orchestrate, "RESULTS_DIR",
+                            tmp_path / "results")
+        log = tmp_path / "smoke.jsonl"
+        main(["sweep", "--smoke", "--jobs", "2", "--log", str(log),
+              "--cache-dir", str(tmp_path / "cache")])
+        capsys.readouterr()
+        events = read_events(log)
+        starts = [e for e in events if e["event"] == "run_start"]
+        assert [e["workers"] for e in starts] == [2, 2]
+        ends = [e for e in events if e["event"] == "run_end"]
+        assert [(e["ran"], e["hit"]) for e in ends] == [(1, 0), (0, 1)]
+
+
 class TestDumpMarkdown:
     def test_dump_md_prints_reference(self, capsys):
         assert main(["--dump-md"]) == 0
