@@ -9,20 +9,18 @@ result.  The curves will not coincide numerically with the closed forms
 expectation), but the *shape* — the ordering of the three machines and
 the flatness of the prime curve — must and does survive.
 
-Runtime note: the machines run on the vectorised strip-level timing
-engine (see ``docs/architecture.md``).  Each block reaches the machine
-as one op stream; the engine probes the cache once per chunk of about
-4 K references and times each run of single-stream loads with one
-bank-service call, so a sweep costs a few closed-form batch calls —
-more than an order of magnitude faster than the per-element reference
-loop.  Pairs whose streams both touch memory, and loads whose stride
-makes them stall on their own banks, are still timed op by op; they
-dominate what is left.  That makes the *full-reuse*
-workload (``R = B``, the paper's steady-state assumption) the default
-here, with ``seeds=8`` per point; seed sampling can additionally fan out
-over a process pool via ``workers=``.  The sweeps remain benchmark
-targets rather than test-suite defaults, but no longer need truncated
-reuse factors to finish.
+Runtime note: the machines run on the op-table timing engine (see
+``docs/architecture.md``).  Each block reaches the machine as one
+:class:`~repro.machine.ops.OpTable`, and every chunk of 32 K references
+costs one address expansion, one bank mapping, one cache probe and one C
+timing call — tens of nanoseconds per simulated reference with generated
+C, two orders of magnitude below the per-element reference loop.  That makes the
+*full-reuse* workload (``R = B``, the paper's steady-state assumption)
+the default here, with ``seeds=8`` per point; seed sampling can
+additionally fan out over a process pool via ``workers=``.  The canonical
+jobs (:data:`CANONICAL_FIG7_SIMULATED`, :data:`CANONICAL_FIG8_SIMULATED`)
+take seconds; ``seeds=8`` at full size remains a benchmark target rather
+than a test-suite default.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ equations predict what a cycle-level simulation of the same timing rules
 measures.  This module runs matched (analytical, simulated) pairs over a
 parameter grid and reports relative errors — the quantity tabulated in
 EXPERIMENTS.md and asserted (loosely) in the tests.  The simulated leg
-runs on the vectorised strip-level timing engine (batched cache probes
-via ``access_many`` plus closed-form bank/bus accounting, bit-for-bit
-identical to the per-element reference loop and an order of magnitude
-faster), which keeps the grid cheap enough to widen.
+runs on the op-table timing engine (one ``access_many`` probe and one C
+timing call per chunk of references, bit-for-bit identical to the
+per-element reference loop and two orders of magnitude faster), which
+keeps the grid cheap enough to widen.
 """
 
 from __future__ import annotations

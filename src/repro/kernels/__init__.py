@@ -2,8 +2,8 @@
 
 Every stateful hot loop in the simulator — the per-set residency update
 of :meth:`repro.cache.base.Cache.access_many`, the MM/CC trace-timing
-loops, the strip-level paired-load engine, and Belady OPT — has two
-engines:
+loops, the vector machines' op-table address expansion and timing loop,
+and Belady OPT — has two engines:
 
 * ``"scalar"`` — the per-access object-model state machines (slow,
   simple, the reference every oracle compares against);
@@ -48,6 +48,8 @@ __all__ = [
     "mm_timing",
     "cc_timing",
     "pair_flat",
+    "op_addresses",
+    "op_timing",
     "belady_next_use",
     "belady_opt",
 ]
@@ -205,11 +207,53 @@ def cc_timing(banks, writes, hits, kinds, mem_t_m, cc_t_m, compulsory,
 
 def pair_flat(b1, b2, h1, h2, paired, mvl, overhead, t_m, pen1, pen2,
               free_at, counts, state):
-    """Paired-load strip engine (see :mod:`repro.kernels.reference`)."""
+    """Paired-load strip loop (see :mod:`repro.kernels.reference`).
+
+    No program code calls it since :func:`op_timing` took over the
+    machines' timing; it stays importable, with its parity test, for
+    callers that look it up by name.
+    """
     _resolve_provider().pair_flat(
         _i64(b1), _i64(b2), _u8(h1), _u8(h2), int(paired), int(mvl),
         int(overhead), int(t_m), int(pen1), int(pen2),
         free_at, counts, state,
+    )
+
+
+def _rows(rows) -> np.ndarray:
+    """Op-table rows as the ``(n, 11)`` int64 array the kernels stride."""
+    rows = _i64(rows)
+    if rows.ndim != 2 or rows.shape[1] != 11:
+        raise ValueError("op-table rows must have shape (n, 11)")
+    return rows
+
+
+def _state(arr, size: int | None = None) -> np.ndarray:
+    """An in/out kernel array: int64 and contiguous, so the kernel's
+    writes land in the caller's array."""
+    if (not isinstance(arr, np.ndarray) or arr.dtype != np.int64
+            or not arr.flags.c_contiguous or arr.ndim != 1
+            or (size is not None and arr.size != size)):
+        raise ValueError("kernel state arrays must be contiguous 1-D int64")
+    return arr
+
+
+def op_addresses(rows, n_load, n_refs):
+    """Op-table address expansion (see :mod:`repro.kernels.reference`)."""
+    return _resolve_provider().op_addresses(_rows(rows), int(n_load),
+                                            int(n_refs))
+
+
+def op_timing(rows, n_load, banks, hits, mvl, overhead, cached_overhead,
+              t_bank, penalty, free_at, counts, state):
+    """Op-table vector machine timing (see :mod:`repro.kernels.reference`)."""
+    hits = _u8(hits)
+    if hits is not None and hits.size != n_load:
+        raise ValueError("op_timing needs one hit flag per load reference")
+    _resolve_provider().op_timing(
+        _rows(rows), int(n_load), _i64(banks), hits, int(mvl),
+        int(overhead), int(cached_overhead), int(t_bank), int(penalty),
+        _state(free_at), _state(counts, free_at.size), _state(state, 16),
     )
 
 

@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.kernels.reference import BAD_OP_ROWS
+
 __all__ = ["load", "build_error"]
 
 _SOURCE = r"""
@@ -274,6 +276,181 @@ void repro_pair_flat(const int64_t *b1, const int64_t *b2, const uint8_t *h1,
     state[4] = n_strips;
 }
 
+/* Op-table rows are [n x 11]: kind (0 load, 1 store, 2 compute), length,
+ * paired, base1, stride1, base2, stride2, expect1, counts1, expect2,
+ * counts2 (see repro.machine.ops.OpTable). */
+#define OP_COLS 11
+
+/* 0 when every row has a known kind, a positive length and 0 <= paired
+ * <= length (loads only), and the rows hold n_load load references and
+ * n_refs references in all; -1 otherwise. */
+static int64_t op_rows_check(const int64_t *rows, int64_t n, int64_t n_load,
+                             int64_t n_refs) {
+    int64_t loads = 0, stores = 0;
+    for (int64_t r = 0; r < n; r++) {
+        const int64_t *row = rows + r * OP_COLS;
+        int64_t kind = row[0], length = row[1], paired = row[2];
+        if (kind < 0 || kind > 2 || length <= 0 || paired < 0 ||
+            paired > (kind == 0 ? length : 0))
+            return -1;
+        if (kind == 0)
+            loads += length + paired;
+        else if (kind == 1)
+            stores += length;
+    }
+    return loads == n_load && loads + stores == n_refs ? 0 : -1;
+}
+
+/* Expand rows into addresses: load references from out[0] in probe order
+ * (paired slots first-stream/second-stream, then the first stream's
+ * remainder), store elements from out[n_load], both in row order.
+ * Returns op_rows_check's verdict; out is untouched on -1. */
+int64_t repro_op_addresses(const int64_t *rows, int64_t n, int64_t n_load,
+                           int64_t n_refs, int64_t *out) {
+    if (op_rows_check(rows, n, n_load, n_refs) != 0)
+        return -1;
+    int64_t li = 0, si = n_load;
+    for (int64_t r = 0; r < n; r++) {
+        const int64_t *row = rows + r * OP_COLS;
+        int64_t length = row[1], a = row[3], s = row[4];
+        if (row[0] == 0) {
+            int64_t paired = row[2], b = row[5], t = row[6], k = 0;
+            for (; k < paired; k++) {
+                out[li++] = a;
+                out[li++] = b;
+                a += s;
+                b += t;
+            }
+            for (; k < length; k++) {
+                out[li++] = a;
+                a += s;
+            }
+        } else if (row[0] == 1) {
+            for (int64_t k = 0; k < length; k++) {
+                out[si++] = a;
+                a += s;
+            }
+        }
+    }
+    return 0;
+}
+
+/* Per-element vector machine over op-table rows, the object-model
+ * machine transliterated.  banks maps the n_refs references in
+ * op_addresses order; hits the load references' cache outcomes (NULL:
+ * cacheless, all go to memory).  state = {cycle, elements, results,
+ * overhead_cycles, bank_stall, miss_stall, cache_hits, cache_misses,
+ * accesses, store_queue, read_free0, read_free1, reads0, reads1,
+ * write_free, writes}.  No bus may be busy past state[0] on entry, so
+ * every bus grant comes at its request cycle.  Returns 0, or -1 for bad
+ * rows or a bank outside 0..n_banks-1 (state is then unspecified). */
+int64_t repro_op_timing(const int64_t *rows, int64_t n, int64_t n_load,
+                        const int64_t *banks, int64_t n_refs,
+                        const uint8_t *hits, int64_t mvl, int64_t overhead,
+                        int64_t cached_overhead, int64_t t_bank,
+                        int64_t penalty, int64_t n_banks, int64_t *free_at,
+                        int64_t *counts, int64_t *state) {
+    if (op_rows_check(rows, n, n_load, n_refs) != 0)
+        return -1;
+    int64_t cycle = state[0], elements = state[1], results = state[2];
+    int64_t overhead_cycles = state[3], bank_stall = state[4];
+    int64_t miss_stall = state[5], cache_hits = state[6];
+    int64_t cache_misses = state[7], accesses = state[8];
+    int64_t store_queue = state[9], read_free0 = state[10];
+    int64_t read_free1 = state[11], reads0 = state[12], reads1 = state[13];
+    int64_t write_free = state[14], writes = state[15];
+    int64_t li = 0, si = n_load;
+    for (int64_t r = 0; r < n; r++) {
+        const int64_t *row = rows + r * OP_COLS;
+        int64_t length = row[1];
+        if (row[0] == 2) {
+            cycle += length;
+            elements += length;
+            continue;
+        }
+        if (row[0] == 1) {
+            for (int64_t k = 0; k < length; k++) {
+                int64_t bank = banks[si++];
+                if ((uint64_t)bank >= (uint64_t)n_banks)
+                    return -1;
+                int64_t ready = free_at[bank];
+                int64_t wait = ready > cycle ? ready - cycle : 0;
+                free_at[bank] = cycle + wait + t_bank;
+                counts[bank] += 1;
+                store_queue += wait;
+                cycle++;
+            }
+            accesses += length;
+            elements += length;
+            writes += length;
+            write_free = cycle;
+            continue;
+        }
+        int64_t paired = row[2];
+        int64_t ov = row[7] ? cached_overhead : overhead;
+        int64_t pen1 = hits != 0 && row[7] ? penalty : 0;
+        int64_t pen2 = hits != 0 && row[9] ? penalty : 0;
+        for (int64_t strip = 0; strip < length; strip += mvl) {
+            cycle += ov;
+            overhead_cycles += ov;
+            int64_t end = strip + mvl < length ? strip + mvl : length;
+            for (int64_t k = strip; k < end; k++) {
+                int64_t stall = 0;
+                for (int64_t second = 0; second <= (k < paired); second++) {
+                    if (read_free0 <= read_free1) {
+                        read_free0 = cycle + 1;
+                        reads0++;
+                    } else {
+                        read_free1 = cycle + 1;
+                        reads1++;
+                    }
+                    int64_t j = k < paired ? li + 2 * k + second
+                                           : li + paired + k;
+                    if (hits != 0 && hits[j]) {
+                        cache_hits++;
+                        continue;
+                    }
+                    if (hits != 0)
+                        cache_misses++;
+                    int64_t bank = banks[j];
+                    if ((uint64_t)bank >= (uint64_t)n_banks)
+                        return -1;
+                    int64_t ready = free_at[bank];
+                    int64_t wait = ready > cycle ? ready - cycle : 0;
+                    int64_t pen = second ? pen2 : pen1;
+                    free_at[bank] = cycle + wait + t_bank;
+                    counts[bank] += 1;
+                    accesses++;
+                    bank_stall += wait;
+                    miss_stall += pen;
+                    stall += wait + pen;
+                }
+                cycle += 1 + stall;
+            }
+        }
+        elements += length + paired;
+        results += row[8] * length + row[10] * paired;
+        li += length + paired;
+    }
+    state[0] = cycle;
+    state[1] = elements;
+    state[2] = results;
+    state[3] = overhead_cycles;
+    state[4] = bank_stall;
+    state[5] = miss_stall;
+    state[6] = cache_hits;
+    state[7] = cache_misses;
+    state[8] = accesses;
+    state[9] = store_queue;
+    state[10] = read_free0;
+    state[11] = read_free1;
+    state[12] = reads0;
+    state[13] = reads1;
+    state[14] = write_free;
+    state[15] = writes;
+    return 0;
+}
+
 /* Belady OPT simulation loop over precomputed sets and next-use indexes.
  * tags/nu/ins are flattened [num_sets x num_ways] state: resident line
  * (-1 empty), its next-use index, and its insertion stamp.  Victim = the
@@ -341,8 +518,16 @@ _SIGNATURES = {
     "repro_pair_flat": [
         _I64, _I64, _U8, _U8, _N, _N, _N, _N, _N, _N, _N, _I64, _I64, _I64,
     ],
+    "repro_op_addresses": [_I64, _N, _N, _N, _I64],
+    "repro_op_timing": [
+        _I64, _N, _N, _I64, _N, _U8, _N, _N, _N, _N, _N, _N, _I64, _I64,
+        _I64,
+    ],
     "repro_belady_opt": [_I64, _I64, _I64, _N, _N, _I64, _I64, _I64, _I64],
 }
+
+#: entry points that check their arguments and return 0 or -1
+_CHECKED = ("repro_op_addresses", "repro_op_timing")
 
 _build_error: str | None = None
 
@@ -388,7 +573,7 @@ class _CExtProvider:
         for fn_name, argtypes in _SIGNATURES.items():
             fn = getattr(lib, fn_name)
             fn.argtypes = argtypes
-            fn.restype = None
+            fn.restype = _N if fn_name in _CHECKED else None
 
     def replay_oneway(self, lines, sets, writes, write_allocate, current,
                       dirty, hits_out):
@@ -431,6 +616,21 @@ class _CExtProvider:
             overhead, t_m, pen1, pen2, _i64(free_at), _i64(counts),
             _i64(state),
         )
+
+    def op_addresses(self, rows, n_load, n_refs):
+        out = np.empty(n_refs, dtype=np.int64)
+        if self._lib.repro_op_addresses(_i64(rows), len(rows), n_load,
+                                        n_refs, _i64(out)):
+            raise ValueError(BAD_OP_ROWS)
+        return out
+
+    def op_timing(self, rows, n_load, banks, hits, mvl, overhead,
+                  cached_overhead, t_bank, penalty, free_at, counts, state):
+        if self._lib.repro_op_timing(
+                _i64(rows), len(rows), n_load, _i64(banks), banks.size,
+                _u8(hits), mvl, overhead, cached_overhead, t_bank, penalty,
+                free_at.size, _i64(free_at), _i64(counts), _i64(state)):
+            raise ValueError(BAD_OP_ROWS)
 
     def belady_opt(self, lines, sets, next_use, num_ways, tags, nu, ins):
         out = np.zeros(3, dtype=np.int64)

@@ -6,8 +6,10 @@ semantics, and ``tests/kernels/test_provider_parity.py`` pins the two
 against each other, returns and state arrays element for element.  It is
 also what a host without a C compiler runs, so each kernel takes the
 fastest pure-Python form of its loop: the one-way replay is a numpy
-closed form for read-only batches and a list loop otherwise, the timing
-loops run on plain lists, and Belady OPT is a dict loop.
+closed form for read-only batches and a list loop otherwise, the op-table
+address expansion is numpy, the op-table timing loop walks only the slots
+that touch memory, the other timing loops run on plain lists, and Belady
+OPT is a dict loop.
 
 Shared conventions:
 
@@ -26,13 +28,28 @@ Shared conventions:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 
 import numpy as np
 
+from repro.machine.ops import (
+    BASE1,
+    BASE2,
+    COMPUTE,
+    KIND,
+    LENGTH,
+    LOAD,
+    PAIRED,
+    STORE,
+    STRIDE1,
+    STRIDE2,
+    OpTable,
+)
+
 __all__ = [
     "replay_oneway", "replay_assoc", "mm_timing", "cc_timing",
-    "pair_flat", "belady_opt",
+    "pair_flat", "op_addresses", "op_timing", "belady_opt",
 ]
 
 name = "reference"
@@ -338,6 +355,228 @@ def pair_flat(b1, b2, h1, h2, paired, mvl, overhead, t_m, pen1, pen2,
     free_at[:] = free
     counts[:] = count
     state[:] = (cycle, bank_stall, miss_penalty, accesses, n_strips)
+
+
+#: what the op-table kernels raise for rows or arrays that do not match
+BAD_OP_ROWS = ("op-table rows malformed, or not matching their reference "
+               "counts or bank range")
+
+
+def _check_op_rows(rows, n_load, n_refs, banks=None, n_banks=0):
+    """Raise ``ValueError`` unless ``rows`` are well-formed op-table rows
+    holding ``n_load`` load references and ``n_refs`` in all, and every
+    bank lies in ``0 .. n_banks - 1``."""
+    try:
+        refs = OpTable(rows).refs()
+    except ValueError:
+        raise ValueError(BAD_OP_ROWS) from None
+    if (int(refs[rows[:, KIND] == LOAD].sum()) != n_load
+            or int(refs.sum()) != n_refs
+            or (banks is not None and banks.size
+                and not 0 <= int(banks.min()) <= int(banks.max()) < n_banks)):
+        raise ValueError(BAD_OP_ROWS)
+
+
+def _ramps(lengths):
+    """``(row, k)`` for every element of rows of ``lengths`` elements:
+    the element's row index and its index within the row."""
+    row = np.repeat(np.arange(lengths.size), lengths)
+    starts = np.cumsum(lengths) - lengths
+    return row, np.arange(row.size, dtype=np.int64) - starts[row]
+
+
+def op_addresses(rows, n_load, n_refs):
+    """Expand :class:`~repro.machine.ops.OpTable` rows into addresses.
+
+    Returns ``n_refs`` int64 addresses: the load rows' references from
+    index 0 in probe order (each row's paired slots as first-stream,
+    second-stream pairs, then the first stream's remainder), and the
+    store rows' elements from index ``n_load``, both in row order.
+    Raises ``ValueError`` (:data:`BAD_OP_ROWS`) for malformed rows or
+    counts that do not match them.
+    """
+    _check_op_rows(rows, n_load, n_refs)
+    out = np.empty(n_refs, dtype=np.int64)
+    kind = rows[:, KIND]
+    loads = rows[kind == LOAD]
+    n1, paired = loads[:, LENGTH], loads[:, PAIRED]
+    starts = np.cumsum(n1 + paired) - (n1 + paired)
+    row, k = _ramps(n1)
+    p = paired[row]
+    out[starts[row] + np.where(k < p, 2 * k, p + k)] = (
+        loads[row, BASE1] + k * loads[row, STRIDE1])
+    row, k = _ramps(paired)
+    out[starts[row] + 2 * k + 1] = loads[row, BASE2] + k * loads[row, STRIDE2]
+    stores = rows[kind == STORE]
+    row, k = _ramps(stores[:, LENGTH])
+    out[n_load:] = stores[row, BASE1] + k * stores[row, STRIDE1]
+    return out
+
+
+def op_timing(rows, n_load, banks, hits, mvl, overhead, cached_overhead,
+              t_bank, penalty, free_at, counts, state):
+    """Time :class:`~repro.machine.ops.OpTable` rows on the vector machine.
+
+    A transliteration of the per-element object-model machine
+    (:class:`~repro.machine.vector_machine.VectorMachine` on the
+    ``scalar`` backend).  ``banks`` maps the rows' references in
+    :func:`op_addresses` order; ``hits`` holds the load references'
+    cache outcomes (``None`` on a cacheless machine, where every load
+    reference goes to memory).  A load row runs in strips of ``mvl``
+    slots, each strip paying ``cached_overhead`` cycles if the first
+    stream expects cached data, else ``overhead``; a slot issues its
+    first-stream element and, among the ``paired`` leading slots, its
+    second-stream element at the same cycle.  A reference that goes to
+    memory waits for its bank, which it then holds ``t_bank`` cycles;
+    the slot takes one cycle plus its references' bank waits, plus
+    ``penalty`` per miss of a stream that expects cached data.  Every
+    element requests a read bus, the earlier-free one (ties to bus 0),
+    exactly as :meth:`~repro.memory.bus.BusSet.request_read` steers.  A
+    store element occupies its bank at its issue cycle and the write
+    bus, and the pipeline moves on the next cycle (the bank-side queueing
+    lands in ``store_queue``); a compute costs its length.
+
+    ``state`` = ``[cycle, elements, results, overhead_cycles,
+    bank_stall_cycles, miss_stall_cycles, cache_hits, cache_misses,
+    accesses, store_queue, read_free0, read_free1, reads0, reads1,
+    write_free, writes]``; mutated in place along with the per-bank
+    ``free_at``/``counts``.  Precondition: no bus is busy past the
+    clock (``read_free0``, ``read_free1`` and ``write_free`` at most
+    ``cycle``), so every bus grant comes at its request cycle.  Raises
+    ``ValueError`` (:data:`BAD_OP_ROWS`) for malformed rows, rows that do
+    not hold ``n_load`` load references and ``banks.size`` in all, or a
+    bank outside ``free_at``; the arrays are then unspecified.
+
+    This form walks only the slots that touch memory: the clock crosses
+    hit slots and strip starts in closed form, and the read buses'
+    alternation is settled per row.
+    """
+    _check_op_rows(rows, n_load, banks.size, banks, free_at.size)
+    (cycle, elements, results, overhead_cycles, bank_stall, miss_stall,
+     cache_hits, cache_misses, accesses, store_queue, read_free0,
+     read_free1, reads0, reads1, write_free, writes) = state.tolist()
+    free = free_at.tolist()
+    count = counts.tolist()
+    bank_list = banks.tolist()
+    if hits is not None:
+        # probe indexes of the load references that go to memory
+        memory_refs = np.flatnonzero(hits[:n_load] == 0).tolist()
+    cursor = 0
+    load_at = 0
+    store_at = n_load
+    for kind, length, paired, _, _, _, _, expect1, counts1, expect2, \
+            counts2 in rows.tolist():
+        if kind == COMPUTE:
+            cycle += length
+            elements += length
+            continue
+        if kind == STORE:
+            for bank in bank_list[store_at:store_at + length]:
+                ready = free[bank]
+                if ready > cycle:
+                    store_queue += ready - cycle
+                    free[bank] = ready + t_bank
+                else:
+                    free[bank] = cycle + t_bank
+                count[bank] += 1
+                cycle += 1
+            store_at += length
+            accesses += length
+            elements += length
+            writes += length
+            write_free = cycle
+            continue
+        ov = cached_overhead if expect1 else overhead
+        refs = length + paired
+        end = load_at + refs
+        if hits is None:
+            row_refs = range(load_at, end)
+            touched = refs
+            pen1 = pen2 = 0
+        else:
+            start = cursor
+            cursor = bisect_left(memory_refs, end, start)
+            row_refs = memory_refs[start:cursor]
+            touched = cursor - start
+            cache_hits += refs - touched
+            cache_misses += touched
+            pen1 = penalty if expect1 else 0
+            pen2 = penalty if expect2 else 0
+        accesses += touched
+        twice = 2 * paired
+        slot = prev_slot = -1
+        slot_cycle = slot_stall = prev_stall = 0
+        stalled = 0          # stall cycles of the slots before ``slot``
+        for j in row_refs:
+            offset = j - load_at
+            if offset < twice:
+                k = offset >> 1
+                pen = pen2 if offset & 1 else pen1
+            else:
+                k = offset - paired
+                pen = pen1
+            if k != slot:
+                stalled += slot_stall
+                prev_slot, prev_stall = slot, slot_stall
+                slot, slot_stall = k, 0
+                slot_cycle = cycle + ov * (k // mvl + 1) + k + stalled
+            bank = bank_list[j]
+            ready = free[bank]
+            if ready > slot_cycle:
+                wait = ready - slot_cycle
+                bank_stall += wait
+                slot_stall += wait + pen
+                free[bank] = ready + t_bank
+            else:
+                slot_stall += pen
+                free[bank] = slot_cycle + t_bank
+            count[bank] += 1
+            miss_stall += pen
+        stalled += slot_stall
+        # the issue cycles of the row's last two slots (whose stalls are
+        # 0 unless they touched memory) settle the read buses
+        tail_stalls = {prev_slot: prev_stall, slot: slot_stall}
+        final = length - 1
+        last = tail_stalls.get(final, 0)
+        before_last = tail_stalls.get(final - 1, 0)
+        last_issue = (cycle + ov * (final // mvl + 1) + final
+                      + stalled - last)
+        before_issue = (cycle + ov * ((final - 1) // mvl + 1) + final - 1
+                        + stalled - last - before_last)
+        strips = -(-length // mvl)
+        overhead_cycles += strips * ov
+        cycle += strips * ov + length + stalled
+        load_at = end
+        elements += refs
+        results += counts1 * length + counts2 * paired
+        singles = length - paired
+        reads0 += paired
+        reads1 += paired
+        if not singles:
+            read_free0 = read_free1 = last_issue + 1
+            continue
+        # singles alternate buses from the earlier-free one (ties, as
+        # after a paired slot, go to bus 0)
+        lead0 = paired > 0 or read_free0 <= read_free1
+        if lead0:
+            reads0 += (singles + 1) // 2
+            reads1 += singles // 2
+        else:
+            reads1 += (singles + 1) // 2
+            reads0 += singles // 2
+        if lead0 == bool(singles & 1):
+            read_free0 = last_issue + 1
+            if length > 1:
+                read_free1 = before_issue + 1
+        else:
+            read_free1 = last_issue + 1
+            if length > 1:
+                read_free0 = before_issue + 1
+    free_at[:] = free
+    counts[:] = count
+    state[:] = (cycle, elements, results, overhead_cycles, bank_stall,
+                miss_stall, cache_hits, cache_misses, accesses, store_queue,
+                read_free0, read_free1, reads0, reads1, write_free, writes)
 
 
 def belady_opt(lines, sets, next_use, num_ways, tags, nu, ins):

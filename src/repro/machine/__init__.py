@@ -5,6 +5,7 @@ VCM workloads for cross-validation against the analytical equations."""
 from repro.machine.ops import (
     LoadPair,
     Operation,
+    OpTable,
     VectorCompute,
     VectorLoad,
     VectorStore,
@@ -34,6 +35,7 @@ __all__ = [
     "LoadPair",
     "MMMachine",
     "Operation",
+    "OpTable",
     "RegisterAllocator",
     "VCMDriver",
     "VectorCompute",

@@ -21,9 +21,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analytical.base import ceil_div
 from repro.analytical.vcm import VCM
-from repro.machine.ops import LoadPair, VectorLoad
+from repro.machine.ops import (
+    BASE1,
+    BASE2,
+    COUNTS1,
+    EXPECT1,
+    LENGTH,
+    PAIRED,
+    STRIDE1,
+    STRIDE2,
+    OpTable,
+)
 from repro.machine.report import ExecutionReport
 from repro.machine.vector_machine import CCMachine, VectorMachine
 
@@ -85,60 +97,68 @@ class VCMDriver:
     # -- block synthesis -----------------------------------------------------------
 
     def block_streams(self, vcm: VCM, problem_size: int | None = None):
-        """Yield one lazy op stream per block of the workload.
+        """Yield one :class:`~repro.machine.ops.OpTable` per block.
 
         Each block draws its first vector's base and stride once — the
         reused sweeps re-traverse the *same* vector, which is what makes
         their misses conflicts rather than fresh compulsory loads.  A
         sweep is cut into single-stream pieces plus a final double access
-        whose second vector is drawn afresh per sweep.  The first sweep
-        of a block is an initial (pipelined) load; the remaining ``R - 1``
-        sweeps expect cached data.
+        whose second vector is drawn afresh per sweep (its stride, then
+        its base).  The first sweep of a block is an initial (pipelined)
+        load; the remaining ``R - 1`` sweeps expect cached data.
 
-        Draws happen as the streams are consumed, in the order the
-        sweeps issue them, so a consumer must exhaust each block before
-        advancing to the next.  The pieces of the first vector are built
-        once per block and re-issued by every reuse sweep, sharing their
-        address arrays.
+        A block's draws all happen before its table is yielded, in the
+        order the sweeps issue them, so the workload depends on the seed
+        alone.
         """
         n = problem_size if problem_size is not None else vcm.blocking_factor
         reuse = max(1, round(vcm.reuse_factor))
         for _ in range(ceil_div(n, vcm.blocking_factor)):
             base1 = self._draw_base()
             s1 = self._draw_stride(vcm.s1, vcm.p_stride1_s1)
-            yield self._block_ops(vcm, base1, s1, reuse)
+            yield self._block_table(vcm, base1, s1, reuse)
 
-    def _block_ops(self, vcm: VCM, base1: int, s1: int, reuse: int):
+    def _block_table(self, vcm: VCM, base1: int, s1: int,
+                     reuse: int) -> OpTable:
         block = vcm.blocking_factor
         if vcm.p_ds == 0:
-            initial = VectorLoad(base=base1, stride=s1, length=block)
-            cached = VectorLoad(base=base1, stride=s1, length=block,
-                                expect_cached=True)
-            yield initial
-            for _ in range(reuse - 1):
-                yield cached
-            return
+            rows = np.zeros((reuse, len(OpTable.COLUMNS)), dtype=np.int64)
+            rows[:, LENGTH] = block
+            rows[:, BASE1] = base1
+            rows[:, STRIDE1] = s1
+            rows[1:, EXPECT1] = 1
+            rows[:, COUNTS1] = 1
+            return OpTable(rows)
+        # per sweep the second vector's stride, then its base
+        seconds = np.array(
+            [(self._draw_stride(vcm.s2, vcm.p_stride1_s2), self._draw_base())
+             for _ in range(reuse)], dtype=np.int64)
+        # one sweep's rows: the pieces of the first vector, the last one
+        # paired with the second vector (which streams in and counts no
+        # results), then the second vector's tail if it is the longer
         piece = max(1, round(block * vcm.p_ds))
-        spans = [(offset, min(piece, block - offset))
-                 for offset in range(0, block, piece)]
-        sweeps = [
-            [VectorLoad(base=base1 + offset * s1, stride=s1, length=length,
-                        expect_cached=expect_cached)
-             for offset, length in spans]
-            for expect_cached in (False, True)
-        ]
-        for sweep in range(reuse):
-            *singles, last = sweeps[sweep > 0]
-            yield from singles
-            s2 = self._draw_stride(vcm.s2, vcm.p_stride1_s2)
-            second = VectorLoad(
-                base=self._draw_base(),
-                stride=s2,
-                length=piece,
-                expect_cached=False,  # the second operand streams in
-                counts_results=False,
-            )
-            yield LoadPair(last, second)
+        offsets = np.arange(0, block, piece, dtype=np.int64)
+        lengths = np.minimum(piece, block - offsets)
+        pieces, last = offsets.size, int(lengths[-1])
+        width = pieces + (piece > last)
+        sweep_rows = np.zeros((width, len(OpTable.COLUMNS)), dtype=np.int64)
+        sweep_rows[:pieces, LENGTH] = lengths
+        sweep_rows[:pieces, BASE1] = base1 + offsets * s1
+        sweep_rows[:pieces, STRIDE1] = s1
+        sweep_rows[:pieces, COUNTS1] = 1
+        sweep_rows[pieces - 1, PAIRED] = min(last, piece)
+        if piece > last:
+            sweep_rows[pieces, LENGTH] = piece - last
+        rows = np.tile(sweep_rows, (reuse, 1))
+        sweeps = rows.reshape(reuse, width, len(OpTable.COLUMNS))
+        sweeps[1:, :pieces, EXPECT1] = 1
+        s2, base2 = seconds[:, 0], seconds[:, 1]
+        sweeps[:, pieces - 1, BASE2] = base2
+        sweeps[:, pieces - 1, STRIDE2] = s2
+        if piece > last:
+            sweeps[:, pieces, BASE1] = base2 + last * s2
+            sweeps[:, pieces, STRIDE1] = s2
+        return OpTable(rows)
 
     # -- the drive ------------------------------------------------------------------
 

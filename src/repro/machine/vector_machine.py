@@ -24,17 +24,18 @@ Timing rules (Section 3.1):
   premise of the paper.  A cached strip whose data is resident saves the
   ``t_m`` component of its start-up (Eq. (4)).
 
-Both machines execute loads and stores through a vectorised strip-level
-timing engine by default; ``backend="scalar"`` selects the per-element
-reference loop, which the engine reproduces bit-for-bit.  The engine
-consumes the op stream in chunks of at most :data:`CHUNK_REFS`
-load references and probes each chunk's cache outcomes with one
-``access_many`` call (:meth:`VectorMachine._run_chunk`).  Consecutive
-single-stream loads that cannot stall on themselves form a run timed
-with one bank-service call (:meth:`VectorMachine._run_loads`); pairs
-and loads whose bank period is below ``t_m`` are timed op by op
-(:meth:`VectorMachine._run_load_batched`).  ``docs/architecture.md``
-has the derivations.
+Both machines time an op stream as one
+:class:`~repro.machine.ops.OpTable` on the ``compiled`` backend (the
+default).  The table is cut into chunks of at most :data:`CHUNK_REFS`
+references, and each chunk takes one pass: its rows expand into
+addresses (:func:`repro.kernels.op_addresses`), the interleave scheme
+maps them to banks, the cache is probed once (``access_many``), and one
+:func:`repro.kernels.op_timing` call times every element of the chunk.
+That kernel transliterates the per-element reference, which
+``backend="scalar"`` selects: the loop over the memory, bus and cache
+objects below.  The reference also runs what the kernel does not cover —
+two-level hierarchies, finite write buffers, and buses left busy past
+the clock.  ``docs/architecture.md`` has the details.
 """
 
 from __future__ import annotations
@@ -45,8 +46,11 @@ from repro import kernels
 from repro.analytical.base import MachineConfig
 from repro.cache.base import Cache
 from repro.machine.ops import (
+    KIND,
+    LOAD,
     LoadPair,
     Operation,
+    OpTable,
     VectorCompute,
     VectorLoad,
     VectorStore,
@@ -58,51 +62,11 @@ from repro.memory.write_buffer import WriteBuffer
 
 __all__ = ["VectorMachine", "MMMachine", "CCMachine", "CHUNK_REFS"]
 
-#: Most load references the batched engine probes and times per chunk.
-#: One ``access_many`` call per chunk amortises the probe's fixed cost
-#: over many short ops, while the bound keeps the chunk's address, hit
-#: and schedule arrays small however long the op stream runs.  Bigger
-#: chunks cost more than they save: a chunk that revisits cache sets
-#: (every multi-sweep chunk does) takes the cache's sort-based replay,
-#: whose cost per reference grows with the chunk, and at 16 K references
-#: its temporaries were returned to and re-faulted from the OS on every
-#: chunk.
-CHUNK_REFS = 1 << 12
-
-_NO_HITS = np.empty(0, dtype=bool)
-
-
-def _second_tail(first: VectorLoad, second: VectorLoad | None):
-    """The part of a pair's second stream beyond its first stream, which
-    replays as a standalone load after the shared strips (or ``None``)."""
-    if second is None or second.length <= first.length:
-        return None
-    return VectorLoad(
-        base=second.base + first.length * second.stride,
-        stride=second.stride,
-        length=second.length - first.length,
-        expect_cached=second.expect_cached,
-        counts_results=second.counts_results,
-    )
-
-
-def _chunks(operations):
-    """Group an op stream into lists of at most :data:`CHUNK_REFS`
-    references (an op longer than that forms a chunk of its own)."""
-    chunk: list = []
-    refs = 0
-    for op in operations:
-        if isinstance(op, LoadPair):
-            size = op.first.length + op.second.length
-        else:
-            size = getattr(op, "length", 0)
-        if chunk and refs + size > CHUNK_REFS:
-            yield chunk
-            chunk, refs = [], 0
-        chunk.append(op)
-        refs += size
-    if chunk:
-        yield chunk
+#: Most references the op-table kernels expand, probe and time per chunk
+#: (a longer row is a chunk of its own).  One pass per chunk amortises
+#: the fixed cost of its four calls, while the bound keeps the chunk's
+#: address, bank and hit arrays small however long the table runs.
+CHUNK_REFS = 1 << 15
 
 
 class VectorMachine:
@@ -121,13 +85,12 @@ class VectorMachine:
             back on the pipeline (``report.store_stall_cycles``).
         backend: timing-engine selection, resolved once at construction
             (``None`` takes :func:`repro.kernels.default_backend`).
-            ``"compiled"`` runs loads and stores through the vectorised
-            strip-level engine, whose both-streams-touch-memory pair loop
-            is a :mod:`repro.kernels` call; ``"scalar"`` runs the
-            per-element reference loop.  The two produce bit-for-bit
-            identical :class:`~repro.machine.report.ExecutionReport`
-            accounting (enforced by a Hypothesis property test and swept
-            by the ``machine-timing`` oracle of :mod:`repro.verify`).
+            ``"compiled"`` times op tables on the :mod:`repro.kernels`
+            op-table kernels; ``"scalar"`` runs the per-element reference
+            loop.  The two produce bit-for-bit identical
+            :class:`~repro.machine.report.ExecutionReport` accounting and
+            substrate state (enforced by a Hypothesis property test and
+            swept by the ``machine-timing`` oracle of :mod:`repro.verify`).
     """
 
     def __init__(
@@ -141,8 +104,6 @@ class VectorMachine:
     ) -> None:
         self.config = config
         self._backend = kernels.resolve_backend(backend)
-        # whether loads and stores take the strip-level engine
-        self._batched = self._backend == "compiled"
         if memory is not None:
             self.memory = memory
         else:
@@ -154,19 +115,6 @@ class VectorMachine:
             if write_buffer_depth is not None else None
         )
         self._cycle = 0
-        # memo of _run_key's bank-period test: (stride, length) -> whether
-        # a pipelined load of that shape can never stall on itself
-        self._clears_itself: dict[tuple, bool] = {}
-        # memo of _schedule: (overhead, load lengths) -> (strips, offsets)
-        self._schedules: dict[tuple, tuple] = {}
-        # memo for stalling all-miss-prefix loads: because the bank
-        # sequence is periodic, an op only ever touches its first-period
-        # banks, so (lengths, period, overhead, residual per-bank busy
-        # offsets from cycle0) fully determines the op's stalls, end
-        # cycle, and the banks' new busy offsets.  Sweeps repeat the same
-        # op shape back-to-back, so the bank state reaches a fixed point
-        # relative to the op start and this memo hits almost always.
-        self._strip_service_memo: dict[tuple, tuple] = {}
 
     # -- model-specific hooks ---------------------------------------------------
 
@@ -176,24 +124,27 @@ class VectorMachine:
         return self.config.num_banks
 
     def _element_cycles(
-        self, address: int, load: VectorLoad, report: ExecutionReport,
-        hit: bool | None = None,
+        self, address: int, load: VectorLoad, report: ExecutionReport
     ) -> int:
-        """Cycles consumed by one element beyond its 1-cycle issue slot.
-
-        ``hit`` carries a pre-computed cache outcome from :meth:`_probe`
-        (``None`` when the caller did not batch the probes, or on a
-        cacheless machine, where it is ignored).
-        """
+        """Cycles consumed by one element beyond its 1-cycle issue slot."""
         raise NotImplementedError
 
-    @property
-    def _probes_in_batches(self) -> bool:
-        """Whether :meth:`_probe` can classify a whole chunk up front."""
-        return True
+    def _strip_overhead(self, expect_cached: bool) -> int:
+        """Start-up cycles of one strip (model-specific via override)."""
+        return self.config.strip_overhead + self.config.t_start
+
+    def _kernel_covers(self) -> bool:
+        """Whether :meth:`execute` can time on the op-table kernels now:
+        the compiled backend, the paper's never-full write buffer, and no
+        bus busy past the clock (so every grant comes at its request)."""
+        buses = self.buses
+        return (self._backend == "compiled" and self.write_buffer is None
+                and max(buses.read_buses[0]._next_free,
+                        buses.read_buses[1]._next_free,
+                        buses.write_bus._next_free) <= self._cycle)
 
     def _probe(self, addresses: np.ndarray) -> np.ndarray | None:
-        """Cache outcomes of one chunk's load references, in issue order.
+        """Cache outcomes of one chunk's load references, in probe order.
 
         Returns a boolean hit array, or ``None`` on a cacheless machine
         (every reference goes to memory).
@@ -218,10 +169,9 @@ class VectorMachine:
     def execute(self, operations, *, add_loop_overhead: bool = True) -> ExecutionReport:
         """Run a sequence of operations; returns the cycle accounting.
 
-        ``operations`` is any iterable of :data:`~repro.machine.ops.Operation`,
-        consumed lazily in chunks of at most :data:`CHUNK_REFS` references
-        (see :meth:`_run_chunk`); ops are drawn a chunk ahead of their
-        timing, so a generator feeding them must not read machine state.
+        ``operations`` is an :class:`~repro.machine.ops.OpTable` or any
+        iterable of :data:`~repro.machine.ops.Operation`, which the
+        compiled backend turns into a table before timing any of it.
         ``add_loop_overhead`` charges the per-block 10-cycle overhead once.
         """
         report = ExecutionReport()
@@ -229,24 +179,91 @@ class VectorMachine:
         if add_loop_overhead:
             self._cycle += self.config.loop_overhead
             report.overhead_cycles += self.config.loop_overhead
-        if self._batched and self._probes_in_batches:
-            for chunk in _chunks(operations):
-                self._run_chunk(chunk, report)
+        if self._kernel_covers():
+            if not isinstance(operations, OpTable):
+                operations = OpTable.from_ops(operations)
+            self._run_table(operations, report)
         else:
-            # the per-element reference: the scalar loop classifies each
-            # element through ``cache.access`` inside ``_element_cycles``
+            if isinstance(operations, OpTable):
+                operations = operations.to_ops()
             for op in operations:
-                if isinstance(op, VectorLoad):
-                    self._run_load_strips(op, None, report)
-                elif isinstance(op, LoadPair):
-                    self._run_load_strips(op.first, op.second, report)
-                else:
-                    self._run_other(op, report)
+                self._run_op(op, report)
         report.cycles += self._cycle - start
         return report
 
-    def _run_other(self, op: Operation, report: ExecutionReport) -> None:
-        if isinstance(op, VectorStore):
+    def _run_table(self, table: OpTable, report: ExecutionReport) -> None:
+        """Time a table on the kernels, one pass per chunk of rows.
+
+        A chunk's load references are probed with a single
+        ``access_many`` call in probe order — each row's paired slots
+        interleaved, then its first-stream remainder.  Cache state does
+        not depend on the clock, so probing ahead of the timing is exact
+        (stores and computes never touch the cache).  Bank and bus state
+        live in the kernel's arrays for the whole table and are written
+        back once.
+        """
+        rows = table.rows
+        refs = table.refs()
+        ends = np.cumsum(refs)
+        load_ends = np.cumsum(np.where(rows[:, KIND] == LOAD, refs, 0))
+        mem = self.memory
+        bank_of_batch = mem.scheme.bank_of_batch
+        bus0, bus1 = self.buses.read_buses
+        write_bus = self.buses.write_bus
+        free = np.array(mem._bank_free_at, dtype=np.int64)
+        counts = np.zeros(mem.num_banks, dtype=np.int64)
+        state = np.zeros(16, dtype=np.int64)
+        state[0] = self._cycle
+        state[10:12] = bus0._next_free, bus1._next_free
+        state[14] = write_bus._next_free
+        timing = (self.config.mvl, self._strip_overhead(False),
+                  self._strip_overhead(True), mem.access_time,
+                  self.config.t_m)
+        start = done = done_loads = 0
+        while start < len(rows):
+            stop = max(start + 1, int(np.searchsorted(
+                ends, done + CHUNK_REFS, side="right")))
+            chunk = rows[start:stop]
+            n_load = int(load_ends[stop - 1]) - done_loads
+            addresses = kernels.op_addresses(chunk, n_load,
+                                             int(ends[stop - 1]) - done)
+            if addresses.size and int(addresses.min()) < 0:
+                raise ValueError("addresses must be non-negative")
+            hits = self._probe(addresses[:n_load]) if n_load else None
+            kernels.op_timing(chunk, n_load, bank_of_batch(addresses), hits,
+                              *timing, free, counts, state)
+            start = stop
+            done, done_loads = int(ends[stop - 1]), int(load_ends[stop - 1])
+        (self._cycle, elements, results, overhead, bank_stall, miss_stall,
+         cache_hits, cache_misses, accesses, store_queue, bus0._next_free,
+         bus1._next_free, reads0, reads1, write_bus._next_free,
+         writes) = state.tolist()
+        report.elements += elements
+        report.results += results
+        report.overhead_cycles += overhead
+        report.bank_stall_cycles += bank_stall
+        report.miss_stall_cycles += miss_stall
+        report.cache_hits += cache_hits
+        report.cache_misses += cache_misses
+        mem._bank_free_at = free.tolist()
+        mem.stats.accesses += accesses
+        mem.stats.stall_cycles += bank_stall + store_queue
+        mem.stats._bank_counts_batched += counts
+        bus0.transfers += reads0
+        bus1.transfers += reads1
+        write_bus.transfers += writes
+
+    # -- the per-element reference ------------------------------------------------
+
+    def _run_op(self, op: Operation, report: ExecutionReport) -> None:
+        if isinstance(op, VectorLoad):
+            self._run_load_scalar(op, None, report)
+        elif isinstance(op, LoadPair):
+            self._run_load_scalar(op.first, op.second, report)
+            tail = op.tail()
+            if tail is not None:
+                self._run_load_scalar(tail, None, report)
+        elif isinstance(op, VectorStore):
             self._run_store(op, report)
         elif isinstance(op, VectorCompute):
             self._cycle += op.length
@@ -254,276 +271,17 @@ class VectorMachine:
         else:
             raise TypeError(f"unknown operation {op!r}")
 
-    def _strip_overhead(self, load: VectorLoad) -> int:
-        """Start-up cycles of one strip (model-specific via override)."""
-        return self.config.strip_overhead + self.config.t_start
-
-    def _run_load_strips(
-        self, first: VectorLoad, second: VectorLoad | None, report: ExecutionReport
-    ) -> None:
-        """One load operation on the per-element reference loop."""
-        addr_first = first.address_array()
-        addr_second = second.address_array() if second is not None else None
-        self._run_load_scalar(first, second, addr_first, addr_second,
-                              None, None, report)
-        tail = _second_tail(first, second)
-        if tail is not None:
-            self._run_load_strips(tail, None, report)
-
-    def _run_chunk(self, ops: list, report: ExecutionReport) -> None:
-        """Time one chunk of operations on the batched engine.
-
-        The chunk's load references are probed with a single
-        ``access_many`` call in issue order — each pair's slots
-        interleaved, then its first-stream remainder, then its
-        second-stream tail (a standalone load, as in the reference).
-        Cache state does not depend on the clock, so probing ahead of
-        the timing is exact (stores and computes never touch the cache).
-
-        Timing then walks the chunk.  Consecutive single-stream loads
-        that cannot stall on themselves (see :meth:`_run_key`)
-        and share a strip overhead and miss rule form a *run*, timed by
-        :meth:`_run_loads` with one bank-service call.  Pairs and
-        self-stalling loads go through :meth:`_run_load_batched` one op
-        at a time.
-        """
-        pieces: list[np.ndarray] = []
-        items: list[tuple] = []
-        for op in ops:
-            if isinstance(op, VectorLoad):
-                addr = op.address_array()
-                items.append((op, None, addr, None))
-                pieces.append(addr)
-            elif isinstance(op, LoadPair):
-                first, second = op.first, op.second
-                addr_first = first.address_array()
-                addr_second = second.address_array()
-                paired = min(first.length, second.length)
-                interleaved = np.empty(2 * paired, dtype=np.int64)
-                interleaved[0::2] = addr_first[:paired]
-                interleaved[1::2] = addr_second[:paired]
-                pieces += (interleaved, addr_first[paired:])
-                items.append((first, second, addr_first, addr_second))
-                tail = _second_tail(first, second)
-                if tail is not None:
-                    addr_tail = addr_second[first.length:]
-                    items.append((tail, None, addr_tail, None))
-                    pieces.append(addr_tail)
-            else:
-                items.append((op, None, None, None))
-        addresses = np.concatenate(pieces) if pieces else None
-        hits = self._probe(addresses) if pieces else None
-
-        run: list[VectorLoad] = []
-        run_key = None
-        run_start = offset = 0
-        for op, second, addr_first, addr_second in items:
-            if addr_first is None:
-                if run:
-                    self._run_loads(run, addresses, hits, run_start, offset,
-                                    report)
-                    run = []
-                self._run_other(op, report)
-                continue
-            if second is None:
-                n = op.length
-                hits_op = None if hits is None else hits[offset:offset + n]
-                key = self._run_key(op, hits_op)
-                if key is not None:
-                    if run and key != run_key:
-                        self._run_loads(run, addresses, hits, run_start,
-                                        offset, report)
-                        run = []
-                    if not run:
-                        run_key, run_start = key, offset
-                    run.append(op)
-                    offset += n
-                    continue
-            if run:
-                self._run_loads(run, addresses, hits, run_start, offset,
-                                report)
-                run = []
-            if second is None:
-                hits_first, hits_second = hits_op, _NO_HITS
-                offset += n
-            else:
-                n1 = op.length
-                paired = min(n1, second.length)
-                if hits is None:
-                    hits_first = hits_second = None
-                else:
-                    slots = hits[offset:offset + n1 + paired]
-                    hits_first = np.concatenate(
-                        (slots[0:2 * paired:2], slots[2 * paired:]))
-                    hits_second = slots[1:2 * paired:2]
-                offset += n1 + paired
-            if not self._run_load_batched(op, second, addr_first,
-                                          addr_second, hits_first,
-                                          hits_second, report):
-                self._run_load_scalar(op, second, addr_first, addr_second,
-                                      hits_first, hits_second, report)
-        if run:
-            self._run_loads(run, addresses, hits, run_start, offset, report)
-
-    def _run_key(self, load: VectorLoad, hits) -> tuple | None:
-        """Run-grouping key of a single-stream load, or ``None`` when it
-        may stall on itself and must be timed alone.
-
-        A load joins a run only if no two of its memory accesses to the
-        same bank can sit closer than ``t_m`` nominal cycles:
-
-        * a CC load that expects cached data pays a ``t_m`` stall after
-          every miss, so any two of its accesses are over ``t_m`` apart;
-        * otherwise its stride's exact bank period ``P`` (the gap between
-          same-bank elements) must be at least ``t_m``, or the load must
-          be too short to revisit a bank.
-
-        Loads in one run also share their strip overhead and miss rule.
-        Between loads every strip start adds at least ``t_m`` cycles of
-        overhead on a pipelined load, but the bank-service call checks
-        the same-bank gaps itself, so the grouping is a speed choice only.
-        """
-        expect = hits is not None and load.expect_cached
-        if not expect:
-            shape = (load.stride, load.length)
-            clear = self._clears_itself.get(shape)
-            if clear is None:
-                period = self.memory.scheme.exact_stride_period(load.stride)
-                clear = period is not None and (period >= self.config.t_m
-                                                or load.length <= period)
-                if len(self._clears_itself) < 4096:
-                    self._clears_itself[shape] = clear
-            if not clear:
-                return None
-        return self._strip_overhead(load), expect
-
-    def _run_loads(
-        self, run: list[VectorLoad], addresses, hits, start: int, stop: int,
-        report: ExecutionReport,
-    ) -> None:
-        """Time a run of single-stream loads with one bank-service call.
-
-        ``addresses[start:stop]`` (and ``hits[start:stop]`` on a cached
-        machine) are the run's references in issue order.  The nominal
-        schedule keeps every load's own strip overheads and, for loads
-        that expect cached data, the ``t_m`` stall of each earlier miss;
-        :meth:`~repro.memory.banks.InterleavedMemory.service_at` then
-        adds the bank stalls, which push every later access back.
-        """
-        cycle0 = self._cycle
-        buses = self.buses
-        if (buses.read_buses[0]._next_free > cycle0
-                or buses.read_buses[1]._next_free > cycle0):
-            # a read bus lags the clock: the reference loop settles it
-            for load in run:
-                n = load.length
-                self._run_load_scalar(
-                    load, None, addresses[start:start + n], None,
-                    None if hits is None else hits[start:start + n],
-                    _NO_HITS, report)
-                start += n
-            return
-        overhead = self._strip_overhead(run[0])
-        strips, offsets = self._schedule(
-            tuple(load.length for load in run), overhead)
-        n = stop - start
-        report.overhead_cycles += strips * overhead
-        report.elements += n
-        report.results += sum(load.length for load in run
-                              if load.counts_results)
-        run_addresses = addresses[start:stop]
-        if hits is None:
-            positions = None
-            m = n
-        else:
-            positions = np.flatnonzero(~hits[start:stop])
-            m = positions.size
-            run_addresses = run_addresses[positions]
-            report.cache_hits += n - m
-            report.cache_misses += m
-        expect = hits is not None and run[0].expect_cached
-        end = cycle0 + strips * overhead + n
-        if m:
-            end += self._service_slots(cycle0, offsets, positions,
-                                       run_addresses, expect, report)
-        self._cycle = end
-        buses.claim_reads_batch(0, n, end)
-
-    def _schedule(self, lengths: tuple, overhead: int):
-        """``(strips, offsets)`` of a stream through loads of ``lengths``
-        slots: its ``MVL``-strip count, and each slot's nominal issue
-        cycle from the stream's start (``overhead`` cycles at every strip
-        start, then one cycle per slot).  Memoized: every sweep of a
-        block repeats the same load shapes."""
-        key = (overhead, lengths)
-        schedule = self._schedules.get(key)
-        if schedule is None:
-            mvl = self.config.mvl
-            strip_lengths = []
-            for length in lengths:
-                full, rest = divmod(length, mvl)
-                strip_lengths += [mvl] * full
-                if rest:
-                    strip_lengths.append(rest)
-            # the 1-based strip ordinal of every slot
-            ordinal = np.repeat(
-                np.arange(1, len(strip_lengths) + 1, dtype=np.int64),
-                strip_lengths)
-            offsets = overhead * ordinal + np.arange(ordinal.size,
-                                                     dtype=np.int64)
-            offsets.flags.writeable = False
-            schedule = len(strip_lengths), offsets
-            if len(self._schedules) < 256:
-                self._schedules[key] = schedule
-        return schedule
-
-    def _service_slots(
-        self, cycle0: int, offsets, positions, addresses, expect: bool,
-        report: ExecutionReport,
-    ) -> int:
-        """Bank-service one stream's memory accesses in a single call.
-
-        ``offsets`` is the stream's nominal slot schedule (see
-        :meth:`_schedule`); ``positions`` (``None`` for every slot) are
-        the slots that access memory, at ``addresses``.  With ``expect``
-        each access is followed by a non-pipelined ``t_m`` stall.
-        Returns the stall cycles the stream adds beyond its nominal
-        ``strips * overhead + slots`` cycles.
-        """
-        t_m = self.config.t_m
-        at = cycle0 + (offsets if positions is None else offsets[positions])
-        m = at.size
-        if expect:
-            at += t_m * np.arange(m, dtype=np.int64)
-        batch = self.memory.service_at(addresses, at)
-        report.bank_stall_cycles += batch.stall_cycles
-        if expect:
-            report.miss_stall_cycles += t_m * m
-            return batch.stall_cycles + t_m * m
-        return batch.stall_cycles
-
     def _run_load_scalar(
-        self,
-        first: VectorLoad,
-        second: VectorLoad | None,
-        addr_first,
-        addr_second,
-        hits_first,
-        hits_second,
+        self, first: VectorLoad, second: VectorLoad | None,
         report: ExecutionReport,
     ) -> None:
-        """Per-element reference loop: the semantics every batched mode of
-        :meth:`_run_load_batched` must reproduce bit-for-bit, and the
-        fallback for shapes no batched mode covers."""
+        """One load operation, element by element: the semantics the
+        op-table kernel must reproduce bit-for-bit."""
         mvl = self.config.mvl
-        addresses_first = addr_first.tolist()
-        addresses_second = (addr_second.tolist()
-                            if addr_second is not None else [])
-        if hits_first is not None:
-            hits_first = hits_first.tolist()
-            hits_second = hits_second.tolist()
+        addresses_first = first.addresses()
+        addresses_second = second.addresses() if second is not None else []
         for strip_start in range(0, first.length, mvl):
-            overhead = self._strip_overhead(first)
+            overhead = self._strip_overhead(first.expect_cached)
             self._cycle += overhead
             report.overhead_cycles += overhead
             strip_first = addresses_first[strip_start:strip_start + mvl]
@@ -531,17 +289,11 @@ class VectorMachine:
             for k, address in enumerate(strip_first):
                 issue = self.buses.request_read(self._cycle)
                 self._cycle = max(self._cycle, issue)
-                stall = self._element_cycles(
-                    address, first, report,
-                    None if hits_first is None else hits_first[strip_start + k],
-                )
+                stall = self._element_cycles(address, first, report)
                 if second is not None and k < len(strip_second):
                     self.buses.request_read(self._cycle)
-                    stall += self._element_cycles(
-                        strip_second[k], second, report,
-                        None if hits_second is None
-                        else hits_second[strip_start + k],
-                    )
+                    stall += self._element_cycles(strip_second[k], second,
+                                                  report)
                 self._cycle += 1 + stall
                 report.elements += 1
                 if first.counts_results:
@@ -551,233 +303,15 @@ class VectorMachine:
                     if second.counts_results:
                         report.results += 1
 
-    def _run_load_batched(
-        self,
-        first: VectorLoad,
-        second: VectorLoad | None,
-        addr_first,
-        addr_second,
-        hits_first,
-        hits_second,
-        report: ExecutionReport,
-    ) -> bool:
-        """Dispatch one load operation onto the vectorised strip engine.
-
-        Returns ``False`` when no batched mode applies, in which case the
-        caller runs the scalar reference loop.  Modes, in dispatch order:
-
-        * both streams of a pair touch memory (every MM-machine pair; CC
-          pairs where both streams miss) → :meth:`_run_pair_flat`, one
-          kernel call;
-        * no stream touches memory (CC all-hit op) → O(1) per strip;
-        * one active stream with a contiguous all-miss prefix, pipelined
-          misses and a bank period below ``t_m`` (a load that stalls on
-          itself) → the strip-service memo, else per-strip
-          :meth:`~repro.memory.banks.InterleavedMemory.service_many`
-          closed form;
-        * any other single active stream →
-          :meth:`~repro.memory.banks.InterleavedMemory.service_at` over
-          the miss subsequence (see :meth:`_service_slots`).
-
-        The scalar loop still runs when a read bus could make a grant
-        lag the clock (never the case for machine-issued streams, but
-        guarded so hand-driven substrates keep exact semantics).
-        """
-        cycle0 = self._cycle
-        buses = self.buses
-        if (buses.read_buses[0]._next_free > cycle0
-                or buses.read_buses[1]._next_free > cycle0):
-            return False
-        mem = self.memory
-        mvl = self.config.mvl
-        overhead = self._strip_overhead(first)
-        t_m = self.config.t_m
-        n1 = first.length
-        paired = min(n1, second.length) if second is not None else 0
-        if hits_first is not None:
-            m1 = n1 - int(np.count_nonzero(hits_first))
-            m2 = (paired - int(np.count_nonzero(hits_second[:paired]))
-                  if second is not None else 0)
-        else:
-            m1, m2 = n1, paired
-        if m1 and m2:
-            self._run_pair_flat(first, second, addr_first, addr_second,
-                                hits_first, hits_second, report)
-            return True
-        n_strips = -(-n1 // mvl)
-        total_overhead = n_strips * overhead
-        report.overhead_cycles += total_overhead
-        report.elements += n1 + paired
-        if first.counts_results:
-            report.results += n1
-        if second is not None and second.counts_results:
-            report.results += paired
-        if hits_first is not None:
-            report.cache_hits += (n1 + paired) - m1 - m2
-            report.cache_misses += m1 + m2
-        if m1:
-            m, load, array, hits_active = m1, first, addr_first, hits_first
-        elif m2:
-            m, load, array = m2, second, addr_second
-            hits_active = hits_second[:paired]
-        else:
-            # pure cache traffic: overhead plus one cycle per slot
-            self._cycle = cycle0 + total_overhead + n1
-            buses.claim_reads_batch(paired, n1 - paired, self._cycle)
-            return True
-        expect = hits_first is not None and load.expect_cached
-        prefix = hits_active is None or not bool(hits_active[:m].any())
-        period = mem.scheme.exact_stride_period(load.stride)
-        if (not expect and prefix and period is not None and period < t_m
-                and m > period):
-            # A pipelined all-miss prefix that stalls on itself.  The
-            # op only ever touches the ``p_seen`` distinct banks of its
-            # first period, whose residual busy offsets (relative to
-            # cycle0) fully determine its stalls, end cycle, and the
-            # banks' new busy offsets — sweeps repeat the same op shape
-            # back-to-back and the bank state reaches a fixed point
-            # relative to the op start, so replay the memoized outcome
-            # when available.  A bank already free at cycle0 can never
-            # stall the op and is overwritten by the op's own visits, so
-            # negative offsets clamp to zero without changing the outcome.
-            free = mem._bank_free_at
-            first_list = mem.scheme.bank_of_batch(array[:period]).tolist()
-            deltas = tuple(max(free[b] - cycle0, 0) for b in first_list)
-            key = (n1, m, period, overhead, deltas)
-            memo = self._strip_service_memo.get(key)
-            if memo is not None:
-                stall, end_off, new_deltas, bank_counts = memo
-                for b, nd in zip(first_list, new_deltas):
-                    free[b] = cycle0 + nd
-                mem._record_batch(first_list, bank_counts, m, stall)
-                report.bank_stall_cycles += stall
-                end = cycle0 + end_off
-                self._cycle = end
-                buses.claim_reads_batch(paired, n1 - paired, end)
-                return True
-            bank_stall = 0
-            cycle = cycle0
-            for strip_start in range(0, n1, mvl):
-                cycle += overhead
-                strip_len = min(mvl, n1 - strip_start)
-                active = min(m, strip_start + strip_len) - strip_start
-                if active > 0:
-                    batch = mem.service_many(
-                        array[strip_start:strip_start + active], cycle,
-                        stride=load.stride,
-                    )
-                    bank_stall += batch.stall_cycles
-                    cycle = batch.final_cycle
-                    cycle += strip_len - active
-                else:
-                    cycle += strip_len
-            report.bank_stall_cycles += bank_stall
-            if len(self._strip_service_memo) < 4096:
-                free = mem._bank_free_at
-                self._strip_service_memo[key] = (
-                    bank_stall,
-                    cycle - cycle0,
-                    tuple(free[b] - cycle0 for b in first_list),
-                    [(m - 1 - j) // period + 1
-                     for j in range(len(first_list))],
-                )
-            self._cycle = cycle
-            buses.claim_reads_batch(paired, n1 - paired, cycle)
-            return True
-        # sparse misses, conflict-stall sweeps, and prefixes whose bank
-        # period covers t_m: one service_at call over the misses
-        positions = None if hits_active is None else np.flatnonzero(~hits_active)
-        accessed = array if positions is None else array[positions]
-        _, offsets = self._schedule((n1,), overhead)
-        end = cycle0 + total_overhead + n1 + self._service_slots(
-            cycle0, offsets, positions, accessed, expect, report)
-        self._cycle = end
-        buses.claim_reads_batch(paired, n1 - paired, end)
-        return True
-
-    def _run_pair_flat(
-        self,
-        first: VectorLoad,
-        second: VectorLoad,
-        addr_first,
-        addr_second,
-        hits_first,
-        hits_second,
-        report: ExecutionReport,
-    ) -> None:
-        """Exact engine for pairs where both streams touch memory.
-
-        One :func:`repro.kernels.pair_flat` call replicates the scalar
-        reference cycle-for-cycle over the two streams' banks and hit
-        flags: the per-element ``MemoryReply`` allocation and bus
-        steering are bypassed, and stats/bus grants are claimed in one
-        batch at the end.
-        """
-        mvl = self.config.mvl
-        overhead = self._strip_overhead(first)
-        t_m = self.memory.access_time
-        cycle = self._cycle
-        n1 = first.length
-        paired = min(n1, second.length)
-        pen1 = t_m if (hits_first is not None and first.expect_cached) else 0
-        pen2 = t_m if (hits_second is not None and second.expect_cached) else 0
-        mem = self.memory
-        bank_of_batch = mem.scheme.bank_of_batch
-        free_arr = np.asarray(mem._bank_free_at, dtype=np.int64)
-        counts_arr = np.zeros(mem.num_banks, dtype=np.int64)
-        state = np.zeros(5, dtype=np.int64)
-        state[0] = cycle
-        kernels.pair_flat(
-            bank_of_batch(addr_first), bank_of_batch(addr_second),
-            hits_first, hits_second, paired, mvl, overhead, t_m, pen1, pen2,
-            free_arr, counts_arr, state,
-        )
-        cycle, bank_stall, miss_penalty, accesses, n_strips = state.tolist()
-        mem._bank_free_at = free_arr.tolist()
-        mem.stats.accesses += accesses
-        mem.stats.stall_cycles += bank_stall
-        mem.stats._bank_counts_batched += counts_arr
-        report.overhead_cycles += n_strips * overhead
-        report.bank_stall_cycles += bank_stall
-        report.miss_stall_cycles += miss_penalty
-        if hits_first is not None:
-            hit_count = (int(np.count_nonzero(hits_first))
-                         + int(np.count_nonzero(hits_second[:paired])))
-            report.cache_hits += hit_count
-            report.cache_misses += (n1 + paired) - hit_count
-        report.elements += n1 + paired
-        if first.counts_results:
-            report.results += n1
-        if second.counts_results:
-            report.results += paired
-        self.buses.claim_reads_batch(paired, n1 - paired, cycle)
-        self._cycle = cycle
-
     def _run_store(self, op: VectorStore, report: ExecutionReport) -> None:
         if self.write_buffer is not None:
-            if self._batched:
-                stall, cycle = self.write_buffer.store_many(
-                    op.address_array(), self._cycle
-                )
-                report.store_stall_cycles += stall
-                report.elements += op.length
-                self._cycle = cycle
-                return
             for address in op.addresses():
                 stall = self.write_buffer.store(address, self._cycle)
                 report.store_stall_cycles += stall
                 self._cycle += 1 + stall
                 report.elements += 1
             return
-        # the paper's assumption: buffered, never stalls — one store per
-        # cycle, so the whole stream is a closed-form bank-queue update
-        if self._batched and self.buses.write_bus._next_free <= self._cycle:
-            self.memory.service_writes(op.address_array(), self._cycle,
-                                       stride=op.stride)
-            self.buses.write_bus.claim_batch(op.length, self._cycle + op.length)
-            self._cycle += op.length
-            report.elements += op.length
-            return
+        # the paper's assumption: buffered, never stalls
         for address in op.addresses():
             grant = self.buses.request_write(self._cycle)
             self.memory.access(address, grant)  # occupies the bank
@@ -797,8 +331,7 @@ class MMMachine(VectorMachine):
     """
 
     def _element_cycles(
-        self, address: int, load: VectorLoad, report: ExecutionReport,
-        hit: bool | None = None,
+        self, address: int, load: VectorLoad, report: ExecutionReport
     ) -> int:
         reply = self.memory.access(address, self._cycle)
         report.bank_stall_cycles += reply.stall_cycles
@@ -870,40 +403,34 @@ class CCMachine(VectorMachine):
         super().reset()
         self.cache.reset()
 
-    def _strip_overhead(self, load: VectorLoad) -> int:
+    def _strip_overhead(self, expect_cached: bool) -> int:
         base = self.config.strip_overhead + self.config.t_start
-        if load.expect_cached:
+        if expect_cached:
             base -= self.config.t_m  # operands come from the cache
             if not self.start_registers:
                 # re-fold the starting index instead of reading a register
                 base += self.start_recalc_cycles
         return base
 
-    @property
-    def _probes_in_batches(self) -> bool:
-        # A hit bitmap cannot carry which *level* served each access, and
-        # the batched modes know nothing of L2 service stalls, so
+    def _kernel_covers(self) -> bool:
+        # A hit bitmap cannot carry which *level* served each access, so
         # hierarchical machines run the per-element reference loop (which
         # reads ``cache.last_level`` after each access).
         return (self._l2_time is None
-                and getattr(self.cache, "access_many", None) is not None)
+                and getattr(self.cache, "access_many", None) is not None
+                and super()._kernel_covers())
 
     def _probe(self, addresses: np.ndarray) -> np.ndarray:
         return self.cache.access_many(addresses, return_hits=True,
                                       backend=self._backend).hits
 
     def _element_cycles(
-        self, address: int, load: VectorLoad, report: ExecutionReport,
-        hit: bool | None = None,
+        self, address: int, load: VectorLoad, report: ExecutionReport
     ) -> int:
-        level = 1
-        if hit is None:
-            hit = self.cache.access(address).hit
-            if hit and self._l2_time is not None:
-                level = self.cache.last_level
+        hit = self.cache.access(address).hit
         if hit:
             report.cache_hits += 1
-            if level == 2:
+            if self._l2_time is not None and self.cache.last_level == 2:
                 # served by L2: a non-pipelined stall like a short miss
                 # penalty; the memory banks are never touched
                 report.l2_hits += 1

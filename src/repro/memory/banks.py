@@ -11,6 +11,11 @@ banks before revisiting the first, so conflicts appear exactly when
 The bank-selection function is pluggable so the Budnik–Kuck/BSP
 *prime-number memory* (the historical ancestor of the prime-mapped cache)
 can be swapped in as an ablation.
+
+:meth:`InterleavedMemory.access` is the per-access reference.  The
+machines' compiled timing kernels (:mod:`repro.kernels`) run the same
+busy-window rule over a scheme's :meth:`InterleaveScheme.bank_of_batch`
+array and write the bank free times and counters back into the memory.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ __all__ = [
     "PrimeInterleave",
     "SkewedInterleave",
     "MemoryStats",
-    "BatchReply",
     "InterleavedMemory",
 ]
 
@@ -56,21 +60,6 @@ class InterleaveScheme(ABC):
             dtype=np.int64,
             count=addresses.size,
         )
-
-    def exact_stride_period(self, stride: int) -> int | None:
-        """Exact bank-sequence period of a stride-``stride`` sweep, or
-        ``None``.
-
-        A non-``None`` return ``P`` guarantees, for *every* base address:
-        the bank sequence ``bank_of(base + k * stride)`` repeats with
-        period exactly ``P``, and the ``P`` banks inside one period are
-        pairwise distinct.  Those two facts are what make the batched
-        busy-window recurrence of :meth:`InterleavedMemory.service_many`
-        closed-form; schemes that cannot promise them (e.g. row-skewed
-        interleave, whose bank function is not modular in the address)
-        return ``None`` and fall back to the exact sequential loop.
-        """
-        return None
 
     def banks_visited_by_stride(self, stride: int) -> int:
         """Distinct banks a long stride-``stride`` sweep cycles through."""
@@ -109,11 +98,6 @@ class LowOrderInterleave(InterleaveScheme):
     def _stride_period(self, stride: int) -> int:
         return self.num_banks // math.gcd(self.num_banks, stride)
 
-    def exact_stride_period(self, stride: int) -> int | None:
-        # address mod M is modular, so the period divides M and the banks
-        # of one period are distinct ((k - j)*s === 0 mod M iff P | k - j)
-        return self.num_banks // math.gcd(self.num_banks, abs(stride))
-
 
 class PrimeInterleave(InterleaveScheme):
     """Budnik–Kuck / BSP prime-number memory: ``address mod p``, ``p`` prime.
@@ -142,9 +126,6 @@ class PrimeInterleave(InterleaveScheme):
     def _stride_period(self, stride: int) -> int:
         return self.num_banks // math.gcd(self.num_banks, stride)
 
-    def exact_stride_period(self, stride: int) -> int | None:
-        return self.num_banks // math.gcd(self.num_banks, abs(stride))
-
 
 class SkewedInterleave(InterleaveScheme):
     """Row-skewed interleave: ``(address + address // M) mod M``.
@@ -163,8 +144,6 @@ class SkewedInterleave(InterleaveScheme):
         return (address + address // self.num_banks) % self.num_banks
 
     def bank_of_batch(self, addresses: np.ndarray) -> np.ndarray:
-        # note: no exact_stride_period — the row term makes the bank
-        # sequence of a strided sweep aperiodic in general
         return (addresses + addresses // self.num_banks) % self.num_banks
 
 
@@ -173,7 +152,7 @@ class MemoryStats:
 
     Per-bank counts live in two dense per-bank accumulators — a plain
     list the scalar ``access`` path bumps cheaply, and a numpy array the
-    batched service calls merge into with one fancy-indexed add;
+    compiled timing kernels' per-bank counts are added into;
     :attr:`bank_accesses` presents their sum as the familiar sparse-dict
     view.
     """
@@ -208,24 +187,6 @@ class MemoryStats:
         self.stall_cycles = 0
         self._bank_counts = [0] * len(self._bank_counts)
         self._bank_counts_batched[:] = 0
-
-
-@dataclass(frozen=True)
-class BatchReply:
-    """Timing of one batched access stream (see ``service_many``).
-
-    Attributes:
-        accesses: elements serviced.
-        stall_cycles: total cycles the *stream* waited for busy banks.
-        final_cycle: pipeline cycle after the last element's issue slot
-            (``start_cycle + accesses + stall_cycles`` for a pipelined
-            stream; for :meth:`InterleavedMemory.service_at` it is the
-            last access's issue cycle plus one).
-    """
-
-    accesses: int
-    stall_cycles: int
-    final_cycle: int
 
 
 @dataclass(frozen=True)
@@ -297,300 +258,6 @@ class InterleavedMemory:
         """Stall an access at ``cycle`` would incur, without issuing it."""
         bank = self.scheme.bank_of(address)
         return max(0, self._bank_free_at[bank] - cycle)
-
-    # -- batched service (the strip-level timing engine's memory leg) --------
-
-    def _record_batch(self, banks, counts, accesses: int, stall: int) -> None:
-        """Merge one batch's counters into :attr:`stats`.
-
-        ``banks`` must not repeat within one call (every batched service
-        path aggregates per bank before recording), which is what lets
-        the array form use a plain fancy-indexed add.
-        """
-        self.stats.accesses += accesses
-        self.stats.stall_cycles += stall
-        stats = self.stats
-        if isinstance(banks, np.ndarray):
-            stats._bank_counts_batched[banks] += counts
-        else:
-            bank_counts = stats._bank_counts
-            for bank, count in zip(banks, counts):
-                bank_counts[bank] += count
-
-    def _service_many_flat(self, banks, start_cycle: int) -> BatchReply:
-        """Exact sequential fallback of :meth:`service_many` (local-state
-        loop, no per-access ``MemoryReply`` allocation)."""
-        free = self._bank_free_at
-        t_m = self.access_time
-        cycle = start_cycle
-        total = 0
-        counts: dict[int, int] = {}
-        for bank in banks:
-            ready = free[bank]
-            if ready > cycle:
-                total += ready - cycle
-                cycle = ready
-            free[bank] = cycle + t_m
-            cycle += 1
-            counts[bank] = counts.get(bank, 0) + 1
-        self._record_batch(counts.keys(), counts.values(), len(banks), total)
-        return BatchReply(len(banks), total, cycle)
-
-    def service_many(
-        self, addresses, start_cycle: int, *, stride: int | None = None
-    ) -> BatchReply:
-        """Service a pipelined one-element-per-cycle stream in one call.
-
-        The ``machine-timing`` and ``analytical-vs-simulated`` oracles of
-        :mod:`repro.verify` sweep this closed form against the sequential
-        recurrence and the Eq. (1)–(3) stall formulas.
-
-        Semantically identical to::
-
-            cycle, total = start_cycle, 0
-            for a in addresses:
-                reply = self.access(a, cycle)
-                total += reply.stall_cycles
-                cycle += 1 + reply.stall_cycles
-
-        i.e. each element issues the cycle after its predecessor entered
-        its bank, and a busy bank stalls the whole stream — the paper's
-        vector-access rule.  When ``stride`` is given and the scheme's
-        :meth:`~InterleaveScheme.exact_stride_period` knows the bank
-        sequence's exact period ``P``, the whole recurrence collapses to
-        closed numpy form; otherwise an exact sequential loop runs.
-
-        The closed form: with issue cycles ``I_k`` and ``J_k = I_k - k``,
-        the busy-window recurrence ``I_k = max(I_{k-1} + 1, I_{k-P} + t_m)``
-        becomes ``J_k = max(J_{k-1}, J_{k-P} + d)`` with ``d = t_m - P``.
-        The first period seeds ``J`` from residual bank state via a running
-        maximum, and every later ``J_k`` is a max over at most two
-        seed-plus-multiple-of-``d`` terms (``d <= 0`` means the stream
-        out-runs the banks and ``J`` freezes — the ``t_m <= M / gcd(M, s)``
-        no-conflict fact of Section 3.2).
-        """
-        addrs = np.ascontiguousarray(addresses, dtype=np.int64)
-        n = addrs.size
-        if n == 0:
-            return BatchReply(0, 0, start_cycle)
-        if int(addrs.min()) < 0:
-            raise ValueError("addresses must be non-negative")
-        banks = self.scheme.bank_of_batch(addrs)
-        period = (
-            self.scheme.exact_stride_period(stride)
-            if stride is not None else None
-        )
-        if period is None:
-            return self._service_many_flat(banks.tolist(), start_cycle)
-
-        t_m = self.access_time
-        free = self._bank_free_at
-        p_seen = min(period, n)
-        first_banks = banks[:p_seen]
-        first_list = first_banks.tolist()
-        ready0 = np.array([free[b] for b in first_list], dtype=np.int64)
-        offsets = np.arange(p_seen, dtype=np.int64)
-        j0 = np.maximum.accumulate(np.maximum(ready0 - offsets, start_cycle))
-        j_top = int(j0[-1])
-
-        # J at the last visit of each of the p_seen banks, and at element
-        # n-1 (the stream's total stall is J_{n-1} - start_cycle).
-        if n <= period:
-            last_j = j0
-            last_k = offsets
-            j_final = j_top
-        else:
-            last_k = offsets + period * ((n - 1 - offsets) // period)
-            d = t_m - period
-            if d <= 0:
-                last_j = np.where(last_k < period, j0, j_top)
-                j_final = j_top
-            else:
-                q = last_k // period
-                last_j = np.where(
-                    last_k < period, j0,
-                    np.maximum(j0 + q * d, j_top + (q - 1) * d),
-                )
-                q_final, r_final = divmod(n - 1, period)
-                j_final = int(max(j0[r_final] + q_final * d,
-                                  j_top + (q_final - 1) * d))
-
-        total = j_final - start_cycle
-        new_free = (last_j + last_k + t_m).tolist()
-        for bank, value in zip(first_list, new_free):
-            free[bank] = value
-        self._record_batch(first_banks, (n - 1 - offsets) // period + 1,
-                           n, total)
-        return BatchReply(n, total, start_cycle + n + total)
-
-    def _service_at_flat(self, banks, cycles) -> BatchReply:
-        """Exact sequential fallback of :meth:`service_at`."""
-        free = self._bank_free_at
-        t_m = self.access_time
-        delay = 0
-        total = 0
-        counts: dict[int, int] = {}
-        issue = 0
-        for bank, base in zip(banks, cycles):
-            cycle = base + delay
-            ready = free[bank]
-            if ready > cycle:
-                total += ready - cycle
-                delay += ready - cycle
-                cycle = ready
-            issue = cycle
-            free[bank] = cycle + t_m
-            counts[bank] = counts.get(bank, 0) + 1
-        self._record_batch(counts.keys(), counts.values(), len(banks), total)
-        return BatchReply(len(banks), total, issue + 1)
-
-    def service_at(self, addresses, cycles) -> BatchReply:
-        """Service accesses at given no-stall cycles; stalls accumulate.
-
-        Semantically identical to::
-
-            delay, total = 0, 0
-            for a, c in zip(addresses, cycles):
-                reply = self.access(a, c + delay)
-                total += reply.stall_cycles
-                delay += reply.stall_cycles
-
-        — every bank stall pushes all later accesses back by the same
-        amount (the machines' one-issue-pipeline rule, both for pipelined
-        streams and for the CC-machine's non-pipelined conflict misses).
-
-        When every access's ``cycles`` entry is at least ``t_m`` after
-        that of the previous access to the *same bank* in the call, an
-        access can never wait on an earlier access of the call: delays
-        only grow, so stalls only widen those gaps, and the bank has
-        freed before the access's nominal slot.  Only the banks' state
-        at call entry can stall, and the cumulative delay is a running
-        maximum in closed form.  Consecutive entries at least ``t_m``
-        apart (conflict-miss sweeps) pass the test outright; otherwise
-        a stable sort by bank measures the same-bank gaps (strided
-        streams whose bank period covers ``t_m``, with strip overheads in
-        between).  Any shorter same-bank gap takes the exact loop.
-        """
-        addrs = np.ascontiguousarray(addresses, dtype=np.int64)
-        n = addrs.size
-        if n == 0:
-            return BatchReply(0, 0, 0)
-        if int(addrs.min()) < 0:
-            raise ValueError("addresses must be non-negative")
-        cyc = np.ascontiguousarray(cycles, dtype=np.int64)
-        if cyc.shape != addrs.shape:
-            raise ValueError("cycles must match addresses in shape")
-        banks = self.scheme.bank_of_batch(addrs)
-        t_m = self.access_time
-        # The closed form costs a fixed ~dozen numpy calls; below a few
-        # dozen elements the exact loop is cheaper, so take it outright.
-        if n <= 32 or (int(np.diff(cyc).min()) < t_m
-                       and not self._same_bank_gaps_clear(banks, cyc)):
-            return self._service_at_flat(banks.tolist(), cyc.tolist())
-
-        free_arr = np.asarray(self._bank_free_at, dtype=np.int64)
-        delays = np.maximum.accumulate(free_arr[banks] - cyc)
-        delays = np.maximum(delays, 0)
-        total = int(delays[-1])
-        issues = cyc + delays
-        np.maximum.at(free_arr, banks, issues + t_m)
-        self._bank_free_at = free_arr.tolist()
-        counts = np.bincount(banks, minlength=self.num_banks)
-        touched = np.flatnonzero(counts)
-        self._record_batch(touched, counts[touched], n, total)
-        return BatchReply(n, total, int(issues[-1]) + 1)
-
-    def _same_bank_gaps_clear(self, banks, cycles) -> bool:
-        """Whether each access comes at least ``t_m`` cycles after the
-        previous access to its bank (the closed-form condition of
-        :meth:`service_at`)."""
-        # a stable sort groups accesses by bank in call order; a narrow
-        # key lets numpy use its linear-time radix sort
-        key = banks.astype(np.uint16) if self.num_banks <= 1 << 16 else banks
-        order = np.argsort(key, kind="stable")
-        grouped = banks[order]
-        gaps = np.diff(cycles[order])
-        return not bool(((grouped[1:] == grouped[:-1])
-                         & (gaps < self.access_time)).any())
-
-    def service_writes(
-        self, addresses, start_cycle: int, *, stride: int | None = None
-    ) -> int:
-        """Queue one store per cycle into the banks; pipeline never waits.
-
-        Semantically identical to::
-
-            for k, a in enumerate(addresses):
-                self.access(a, start_cycle + k)
-
-        with every reply discarded — the buffered-store rule: the access
-        stream occupies banks (whose busy windows queue up back-to-back)
-        but the issuing pipeline advances one store per cycle regardless.
-        Returns the total *bank-side* queueing delay recorded in
-        :attr:`stats` (the processor never sees it).
-
-        With an exact stride period the per-bank queues are independent
-        arithmetic sequences: bank ``i`` receives stores at
-        ``start + i + q*P``, and its busy frontier is
-        ``f_q = max(f_{q-1}, c_q) + t_m`` — a running maximum of two
-        linear ramps, evaluated directly.
-        """
-        addrs = np.ascontiguousarray(addresses, dtype=np.int64)
-        n = addrs.size
-        if n == 0:
-            return 0
-        if int(addrs.min()) < 0:
-            raise ValueError("addresses must be non-negative")
-        banks = self.scheme.bank_of_batch(addrs)
-        period = (
-            self.scheme.exact_stride_period(stride)
-            if stride is not None else None
-        )
-        if period is None:
-            total = 0
-            free = self._bank_free_at
-            t_m = self.access_time
-            counts: dict[int, int] = {}
-            for k, bank in enumerate(banks.tolist()):
-                cycle = start_cycle + k
-                ready = free[bank]
-                if ready > cycle:
-                    total += ready - cycle
-                    cycle = ready
-                free[bank] = cycle + t_m
-                counts[bank] = counts.get(bank, 0) + 1
-            self._record_batch(counts.keys(), counts.values(), n, total)
-            return total
-
-        t_m = self.access_time
-        free = self._bank_free_at
-        p_seen = min(period, n)
-        first_list = banks[:p_seen].tolist()
-        offsets = np.arange(p_seen, dtype=np.int64)
-        ready0 = np.array([free[b] for b in first_list], dtype=np.int64)
-        depth = (n - 1 - offsets) // period + 1        # stores per bank
-        q_max = int(depth.max())
-        q = np.arange(q_max, dtype=np.int64)
-        c = start_cycle + offsets[:, None] + q[None, :] * period
-        if period >= t_m:
-            frontier = np.maximum(
-                ready0[:, None] + (q[None, :] + 1) * t_m, c + t_m
-            )
-        else:
-            frontier = (
-                np.maximum(ready0, start_cycle + offsets)[:, None]
-                + (q[None, :] + 1) * t_m
-            )
-        valid = q[None, :] < depth[:, None]
-        stalls = np.maximum(frontier[:, :-1] - c[:, 1:], 0)
-        stalls = np.where(valid[:, 1:], stalls, 0)
-        total = int(stalls.sum())
-        total += int(np.maximum(ready0 - c[:, 0], 0).sum())
-        final = frontier[np.arange(p_seen), depth - 1].tolist()
-        for bank, value in zip(first_list, final):
-            free[bank] = value
-        self._record_batch(first_list, depth.tolist(), n, total)
-        return total
 
     def reset(self) -> None:
         """Free all banks and zero statistics."""

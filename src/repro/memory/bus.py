@@ -38,20 +38,6 @@ class PipelinedBus:
         self.transfers += 1
         return grant
 
-    def claim_batch(self, count: int, next_free: int) -> None:
-        """Record ``count`` zero-wait transfers granted in one batched op.
-
-        The strip-level fast path only uses this when the issue schedule
-        guarantees every grant equals its request cycle (one transfer per
-        machine cycle, and the machine clock never runs behind the bus),
-        so no wait accrues; ``next_free`` is the first cycle after the
-        batch's last grant.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        self.transfers += count
-        self._next_free = max(self._next_free, next_free)
-
     def reset(self) -> None:
         """Free the bus and zero counters."""
         self._next_free = 0
@@ -79,30 +65,6 @@ class BusSet:
     def request_write(self, cycle: int) -> int:
         """Grant a write transfer (buffered; never stalls the pipeline)."""
         return self.write_bus.request(cycle)
-
-    def claim_reads_batch(self, paired: int, single: int,
-                          next_free: int) -> None:
-        """Record one batched load op's read-bus traffic.
-
-        ``paired`` slots move one element on *each* read bus (double-stream
-        LoadPair cycles); ``single`` slots alternate between the buses
-        starting from the earlier-free one (ties go to read0), matching the
-        scalar steering.  Within an op all paired slots precede the singles.
-        Totals, wait cycles (zero — see :meth:`PipelinedBus.claim_batch`)
-        and bus availability match the scalar path exactly; the per-bus
-        split of the singles can differ from scalar steering by one
-        transfer in tail cases, which no report observes.
-        """
-        bus0, bus1 = self.read_buses
-        bus0.transfers += paired
-        bus1.transfers += paired
-        if single:
-            first = bus0 if bus0._next_free <= bus1._next_free else bus1
-            second = bus1 if first is bus0 else bus0
-            first.transfers += (single + 1) // 2
-            second.transfers += single // 2
-        bus0._next_free = max(bus0._next_free, next_free)
-        bus1._next_free = max(bus1._next_free, next_free)
 
     def reset(self) -> None:
         """Reset every bus."""

@@ -123,28 +123,6 @@ class WriteBuffer:
                                        len(self._pending))
         return stall
 
-    def store_many(self, addresses, start_cycle: int) -> tuple[int, int]:
-        """Issue one store per cycle starting at ``start_cycle``.
-
-        Returns ``(total_stall_cycles, final_cycle)`` where ``final_cycle``
-        is the cycle after the last store issued (push-back stalls delay
-        subsequent issues exactly as the scalar loop does).
-
-        The buffer is a strict FIFO draining one head entry at a time
-        through bank-conflict checks, so its state recurrence is inherently
-        sequential; this is the scalar :meth:`store` loop with the
-        interpreter overhead hoisted, kept so batched callers have a single
-        entry point whether or not a finite buffer is configured.
-        """
-        store = self.store
-        cycle = int(start_cycle)
-        total = 0
-        for address in addresses:
-            stall = store(int(address), cycle)
-            total += stall
-            cycle += 1 + stall
-        return total, cycle
-
     def flush(self, cycle: int) -> int:
         """Drain everything; returns the cycle the last store retires."""
         self._drain(cycle + 10**12)

@@ -76,12 +76,10 @@ class ResultStore:
     concurrent multi-process use."""
 
     def __init__(self, root: Path | None = None, *,
-                 sweep_stale: bool = True,
                  stale_temp_age_s: float = STALE_TEMP_AGE_S) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         self.stale_temp_age_s = stale_temp_age_s
-        if sweep_stale:
-            self.sweep_stale_temps()
+        self.sweep_stale_temps()
 
     @property
     def objects_dir(self) -> Path:

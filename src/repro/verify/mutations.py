@@ -5,7 +5,7 @@ A differential harness that has never seen a failure proves nothing —
 the oracles could all be vacuous.  This module keeps a catalogue of
 representative faults (the bugs this codebase has actually had, or
 almost had: an off-by-one in the Mersenne index fold, a dropped
-bank-busy stall in the batched memory path, a wrong modulus in the
+bank-busy stall in the machines' timing kernel, a wrong modulus in the
 prime-cache stall formula, a congruence solver that loses the
 multi-solution family, a phase-collapsed stride footprint, a columnar
 trace recorder that drops the last reference of every block, a compiled
@@ -100,19 +100,19 @@ def _fold_modulus_off_by_one():
 
 @contextmanager
 def _dropped_bank_busy_stall():
-    from repro.memory import banks
+    from repro import kernels
 
-    original = banks.InterleavedMemory.service_many
+    original = kernels.op_timing
 
-    def bad_service_many(self, addresses, start_cycle, *, stride=None):
-        reply = original(self, addresses, start_cycle, stride=stride)
-        # the batched path "forgets" that busy banks stall the stream
-        return banks.BatchReply(
-            accesses=reply.accesses, stall_cycles=0,
-            final_cycle=reply.final_cycle - reply.stall_cycles)
+    def bad_op_timing(*args):
+        state = args[-1]
+        bank_stall = int(state[4])
+        original(*args)
+        # the timing kernel "forgets" that busy banks stall the pipeline
+        state[0] -= int(state[4]) - bank_stall
+        state[4] = bank_stall
 
-    with _patched(banks.InterleavedMemory, "service_many",
-                  bad_service_many):
+    with _patched(kernels, "op_timing", bad_op_timing):
         yield
 
 
@@ -310,9 +310,9 @@ MUTATIONS: dict[str, Mutation] = {
             _fold_modulus_off_by_one),
         Mutation(
             "dropped-bank-busy-stall",
-            "InterleavedMemory.service_many reports zero stall cycles "
-            "for busy-bank collisions",
-            ("machine-timing", "analytical-vs-simulated"),
+            "the op-table timing kernel forgets the cycles a reference "
+            "waits for its busy bank",
+            ("machine-timing", "kernel-backend"),
             _dropped_bank_busy_stall),
         Mutation(
             "wrong-mersenne-modulus",

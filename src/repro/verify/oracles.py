@@ -9,7 +9,7 @@ geometry law):
 * ``cache-batch`` — the batched :meth:`repro.cache.base.Cache.access_many`
   fast path against the scalar :meth:`~repro.cache.base.Cache.access`
   state machine, per access and per statistic.
-* ``machine-timing`` — the vectorised strip-level timing engine
+* ``machine-timing`` — the op-table timing kernel of the machines
   (``backend="compiled"``) against the per-element scalar machine loop
   (``backend="scalar"``), bit-for-bit over the full
   :class:`~repro.machine.report.ExecutionReport`.
@@ -262,7 +262,7 @@ def _diff_batch_vs_scalar(build: Callable, addresses, writes,
 
 
 # ---------------------------------------------------------------------------
-# machine-timing: vectorised strip engine vs scalar machine loop
+# machine-timing: op-table timing kernel vs scalar machine loop
 # ---------------------------------------------------------------------------
 
 _REPORT_FIELDS = (
@@ -349,7 +349,7 @@ def _machine_timing_cases(mode: str, rng: random.Random) -> list[dict]:
 def _check_machine_timing(config: dict) -> list[Divergence]:
     fast = _make_case_machine(config, "compiled")
     slow = _make_case_machine(config, "scalar")
-    detail = ("vectorised strip engine vs scalar reference loop "
+    detail = ("op-table timing kernel vs scalar reference loop "
               "(repro/machine/vector_machine.py)")
     if config["kind"] == "ops":
         report_fast = fast.execute(_case_ops(config))
@@ -472,14 +472,17 @@ def _check_analytical(config: dict) -> list[Divergence]:
         stride = config["stride"]
         memory = InterleavedMemory(config["banks"], config["t_m"])
         mvl = machine_config.mvl
-        addresses = np.arange(mvl, dtype=np.int64) * stride
-        warm = memory.service_many(addresses, 0, stride=stride)
-        steady = memory.service_many(
-            addresses + mvl * stride, warm.final_cycle, stride=stride)
+        # a warming strip, then the measured strip right behind it: one
+        # element per cycle, each held up by its bank's busy window
+        cycle = steady = 0
+        for k in range(2 * mvl):
+            stall = memory.access(k * stride, cycle).stall_cycles
+            cycle += 1 + stall
+            if k >= mvl:
+                steady += stall
         predicted = self_stalls_for_stride(stride, machine_config)
-        if steady.stall_cycles != predicted:
-            return [("mm.steady_strip_stalls", steady.stall_cycles,
-                     predicted,
+        if steady != predicted:
+            return [("mm.steady_strip_stalls", steady, predicted,
                      "analytical/mm.self_stalls_for_stride vs "
                      "memory/banks.InterleavedMemory (warmed strip)")]
         return []
@@ -1626,8 +1629,7 @@ ORACLES: dict[str, Oracle] = {
             _cache_batch_cases, _check_cache_batch),
         Oracle(
             "machine-timing",
-            "vectorised strip-level timing engine vs the scalar machine "
-            "reference loop",
+            "op-table timing kernel vs the scalar machine reference loop",
             _machine_timing_cases, _check_machine_timing),
         Oracle(
             "analytical-vs-simulated",

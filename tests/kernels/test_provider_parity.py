@@ -9,7 +9,8 @@ from the real mappings: ``sets`` from direct, prime, hashed and XOR
 caches, ``banks`` from low-order, prime and skewed interleave.  Each
 case runs several calls in a row so later calls start from warm state;
 the replay cases store first, so a read-only batch then meets dirty
-lines.
+lines, and the op-table cases mix pairs with tails, stores, computes and
+zero or negative strides, with and without cache hits.
 """
 
 from __future__ import annotations
@@ -28,6 +29,16 @@ from repro.cache import (
 )
 from repro.cache.alternative_mappings import XorMappedCache
 from repro.kernels import cext, reference
+from repro.machine.ops import (
+    KIND,
+    LOAD,
+    PAIRED,
+    LoadPair,
+    OpTable,
+    VectorCompute,
+    VectorLoad,
+    VectorStore,
+)
 from repro.memory.banks import (
     LowOrderInterleave,
     PrimeInterleave,
@@ -100,7 +111,10 @@ def _assert_same(name: str, args: list):
                   for a in args]
         outcomes.append((getattr(provider, name)(*copies), copies))
     (c_result, c_args), (py_result, py_args) = outcomes
-    assert c_result == py_result
+    if isinstance(c_result, np.ndarray):
+        np.testing.assert_array_equal(c_result, py_result)
+    else:
+        assert c_result == py_result
     for c_arr, py_arr in zip(c_args, py_args):
         if isinstance(c_arr, np.ndarray):
             np.testing.assert_array_equal(c_arr, py_arr)
@@ -208,6 +222,98 @@ def test_pair_flat(kind, pairs, mvl, overhead, t_m, data):
             b1, b2, h1, h2, paired, mvl, overhead, t_m, pen1, pen2,
             free_at, counts, state])
         free_at, counts, state = args[10], args[11], args[12]
+
+
+def _stream(draw, mvl: int, **flags) -> VectorLoad:
+    """A load whose addresses stay non-negative for any stride sign."""
+    length = draw(st.integers(1, 3 * mvl))
+    stride = draw(st.sampled_from((0, 1, 3, 8, -2)) | st.integers(-9, 40))
+    base = draw(st.integers(0, 400)) + (length * -stride if stride < 0 else 0)
+    return VectorLoad(base=base, stride=stride, length=length, **flags)
+
+
+@st.composite
+def op_tables(draw, mvl: int):
+    """A table of loads, pairs (second streams longer or shorter than the
+    first, so tails appear), stores and computes."""
+    ops = []
+    for kind in draw(st.lists(st.sampled_from("lpsc"), min_size=1,
+                              max_size=6)):
+        if kind in "lp":
+            first = _stream(draw, mvl, expect_cached=draw(st.booleans()),
+                            counts_results=draw(st.booleans()))
+            if kind == "l":
+                ops.append(first)
+                continue
+            ops.append(LoadPair(first, _stream(
+                draw, mvl, expect_cached=draw(st.booleans()),
+                counts_results=draw(st.booleans()))))
+        elif kind == "s":
+            load = _stream(draw, mvl)
+            ops.append(VectorStore(load.base, load.stride, load.length))
+        else:
+            ops.append(VectorCompute(draw(st.integers(1, 2 * mvl))))
+    return OpTable.from_ops(ops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(SCHEMES)), st.sampled_from((4, 16, 64)),
+       st.integers(0, 20), st.sampled_from((1, 4, 12, 40)),
+       st.sampled_from((0, 8, 32)), st.booleans(), st.data())
+def test_op_addresses_and_timing(kind, mvl, overhead, t_bank, penalty,
+                                 cached, data):
+    """Two tables in a row from warm bank, clock and bus state; the
+    timing kernel takes the first kernel's addresses mapped to banks."""
+    scheme = SCHEMES[kind]()
+    free_at = np.array(data.draw(st.lists(
+        st.integers(0, 80), min_size=scheme.num_banks,
+        max_size=scheme.num_banks)), dtype=np.int64)
+    counts = np.zeros(scheme.num_banks, dtype=np.int64)
+    state = np.zeros(16, dtype=np.int64)
+    state[0] = data.draw(st.integers(0, 60))
+    # buses free by the clock (the kernel's precondition)
+    state[10:12] = data.draw(st.lists(st.integers(0, int(state[0])),
+                                      min_size=2, max_size=2))
+    state[14] = data.draw(st.integers(0, int(state[0])))
+    for table in data.draw(st.lists(op_tables(mvl), min_size=2,
+                                    max_size=2)):
+        refs = table.refs()
+        n_load = int(refs[table.rows[:, KIND] == LOAD].sum())
+        addresses, _ = _assert_same("op_addresses",
+                                    [table.rows, n_load, int(refs.sum())])
+        hits = data.draw(flags(n_load, optional=False)) if cached else None
+        _, args = _assert_same("op_timing", [
+            table.rows, n_load, scheme.bank_of_batch(addresses), hits, mvl,
+            overhead, data.draw(st.integers(0, 20)), t_bank, penalty,
+            free_at, counts, state])
+        free_at, counts, state = args[9], args[10], args[11]
+
+
+@pytest.mark.parametrize("provider", [C_PROVIDER, reference],
+                         ids=["cext", "reference"])
+def test_op_kernels_reject_mismatched_arguments(provider):
+    """Rows, reference counts and banks are checked before any array is
+    indexed: a mismatch raises instead of reading or writing out of
+    bounds."""
+    rows = OpTable.from_ops([VectorLoad(base=0, stride=1, length=4),
+                             VectorStore(base=0, stride=1, length=2)]).rows
+    malformed = rows.copy()
+    malformed[0, PAIRED] = 5  # more paired slots than elements
+    for args in ((rows, 3, 6), (rows, 4, 7), (malformed, 9, 11)):
+        with pytest.raises(ValueError):
+            provider.op_addresses(*args)
+
+    def timing(banks, n_load=4):
+        provider.op_timing(rows, n_load, np.array(banks, dtype=np.int64),
+                           None, 64, 0, 0, 4, 0, np.zeros(4, np.int64),
+                           np.zeros(4, np.int64), np.zeros(16, np.int64))
+
+    timing([0, 1, 2, 3, 0, 1])
+    for banks in ([0, 1, 2, 3, 4, 0], [0, 1, 2, 3, 0, -1], [0, 1, 2, 3, 0]):
+        with pytest.raises(ValueError):
+            timing(banks)
+    with pytest.raises(ValueError):
+        timing([0, 1, 2, 3, 0, 1], n_load=5)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,20 +1,14 @@
-"""Property test: the strip-level fast path matches the scalar loop.
+"""Property test: the op-table kernel path matches the scalar loop.
 
-The vectorised timing engine (``backend="compiled"``, the default) must
+The op-table timing kernel (``backend="compiled"``, the default) must
 reproduce the per-element reference loop (``backend="scalar"``) bit for
 bit — not just total cycles, but the full
 :class:`~repro.machine.report.ExecutionReport` split, the
-memory/bank/bus/write-buffer state, and the cache contents —
-across MM/CC machines, strides (including 0 and negative), double-stream
-:class:`LoadPair` ops with mismatched lengths, finite write buffers, and
-both cache organisations.
-
-The one sanctioned divergence is internal to the read buses: the batched
-path parks both read buses at the batch's end cycle and may split
-single-stream transfers between them differently from the scalar
-steering (documented on ``BusSet.claim_reads_batch``).  Neither is
-observable in any report, so the comparison checks the read buses'
-transfer *sum* and per-bus wait cycles, and everything else exactly.
+memory/bank/bus/write-buffer state (each read bus's transfers and next
+free cycle included), and the cache contents — across MM/CC machines,
+strides (including 0 and negative), double-stream :class:`LoadPair` ops
+with mismatched lengths, finite write buffers, and both cache
+organisations.
 """
 
 from __future__ import annotations
@@ -22,11 +16,13 @@ from __future__ import annotations
 from unittest import mock
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.analytical.base import MachineConfig
+from repro.analytical.vcm import VCM
 from repro.cache import DirectMappedCache, PrimeMappedCache
-from repro.machine import vector_machine
+from repro.machine import VCMDriver, vector_machine
 from repro.machine.ops import LoadPair, VectorCompute, VectorLoad, VectorStore
 from repro.machine.vector_machine import CCMachine, MMMachine
 
@@ -34,7 +30,7 @@ MVLS = (4, 16, 32)
 
 
 def _backend(fast: bool) -> str:
-    """The machines' strip-level engine, or their per-element reference."""
+    """The machines' op-table kernels, or their per-element reference."""
     return "compiled" if fast else "scalar"
 
 
@@ -122,9 +118,8 @@ def _full_state(machine):
         "memory": (machine.memory.stats.accesses,
                    machine.memory.stats.stall_cycles,
                    dict(machine.memory.stats.bank_accesses)),
-        "read_buses": (sum(b.transfers for b in machine.buses.read_buses),
-                       tuple(b.wait_cycles
-                             for b in machine.buses.read_buses)),
+        "read_buses": [(b.transfers, b.wait_cycles, b._next_free)
+                       for b in machine.buses.read_buses],
         "write_bus": (machine.buses.write_bus.transfers,
                       machine.buses.write_bus.wait_cycles,
                       machine.buses.write_bus._next_free),
@@ -184,9 +179,9 @@ def test_finite_write_buffer_stalls_match_scalar(depth, stride, length, t_m):
 
 @st.composite
 def _long_stream(draw):
-    """Long loads and pairs (runs, self-stalling loads and second-stream
-    tails) cut into chunks far smaller than the default bound, on a CC
-    machine whose cached and pipelined strips may cost the same."""
+    """Long loads and pairs (self-stalling loads and second-stream tails)
+    cut into chunks far smaller than the default bound, on a CC machine
+    whose cached and pipelined strips may cost the same."""
     t_m = draw(st.sampled_from((2, 4, 16, 32)))
     config = MachineConfig(num_banks=draw(st.sampled_from((16, 64))),
                            memory_access_time=t_m, mvl=16, cache_lines=31)
@@ -216,11 +211,11 @@ def _long_stream(draw):
 @settings(max_examples=60, deadline=None)
 @given(_long_stream())
 def test_chunked_long_streams_match_scalar(case):
-    """Chunk boundaries, probe offsets and run grouping stay exact for
-    long ops; the CC machine re-folds start addresses at a cost equal to
-    the ``t_m`` a cached strip saves, so loads with and without
-    ``expect_cached`` share a strip overhead and only their miss rule
-    keeps them in separate runs."""
+    """Chunk boundaries and probe offsets stay exact for long ops, and for
+    rows longer than a chunk; the CC machine re-folds start addresses at
+    a cost equal to the ``t_m`` a cached strip saves, so loads with and
+    without ``expect_cached`` share a strip overhead and differ only in
+    their miss rule."""
     config, spec, ops, chunk_refs = case
     machines = []
     for fast in (False, True):
@@ -238,3 +233,50 @@ def test_chunked_long_streams_match_scalar(case):
         for _ in range(2):
             assert fast.execute(iter(ops)) == scalar.execute(ops)
     assert _full_state(fast) == _full_state(scalar)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(("mm", "cc-direct", "cc-prime")),
+    st.sampled_from((2, 8, 32)),
+    st.integers(20, 90),
+    st.integers(1, 3),
+    st.sampled_from((0.0, 0.1, 0.3)),
+    st.integers(0, 1 << 16),
+)
+def test_vcm_tables_match_scalar(spec, t_m, block, reuse, p_ds, seed):
+    """VCMDriver's op tables (pairs with tails, reused sweeps) time the
+    same on the kernels as on the reference, which replays them as ops."""
+    config = MachineConfig(num_banks=16, memory_access_time=t_m, mvl=16,
+                           cache_lines=31)
+    vcm = VCM(blocking_factor=block, reuse_factor=reuse, p_ds=p_ds,
+              s2=None if p_ds == 0 else "random")
+    machines = [_build(fast, config, spec, None, 1) for fast in (False, True)]
+    reports = [VCMDriver(machine, seed=seed).run(vcm, 2 * block).report
+               for machine in machines]
+    assert reports[0] == reports[1]
+    assert _full_state(machines[0]) == _full_state(machines[1])
+
+
+@pytest.mark.parametrize("bus, busy_until", [("read0", 70), ("read1", 70),
+                                             ("write", 400)])
+@pytest.mark.parametrize("spec", ["mm", "cc-direct", "cc-prime"])
+def test_buses_busy_past_the_clock_take_the_reference(spec, bus, busy_until):
+    """A hand-driven substrate whose bus runs ahead of the clock is
+    outside the kernel's precondition; the compiled backend then runs the
+    reference loop and stays exact."""
+    config = MachineConfig(num_banks=16, memory_access_time=8, mvl=16,
+                           cache_lines=31)
+    ops = [LoadPair(VectorLoad(base=0, stride=3, length=40),
+                    VectorLoad(base=512, stride=1, length=50,
+                               counts_results=False)),
+           VectorStore(base=64, stride=2, length=20)]
+    machines = [_build(fast, config, spec, None, 1) for fast in (False, True)]
+    for machine in machines:
+        buses = machine.buses
+        target = {"read0": buses.read_buses[0], "read1": buses.read_buses[1],
+                  "write": buses.write_bus}[bus]
+        target._next_free = busy_until
+    reports = [machine.execute(ops) for machine in machines]
+    assert reports[0] == reports[1]
+    assert _full_state(machines[0]) == _full_state(machines[1])

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.machine.ops import LoadPair, VectorCompute, VectorLoad, VectorStore
+from repro.machine.ops import (
+    LoadPair,
+    OpTable,
+    VectorCompute,
+    VectorLoad,
+    VectorStore,
+)
 
 
 class TestVectorLoad:
@@ -50,3 +56,38 @@ class TestLoadPair:
         b = VectorLoad(base=64, stride=2, length=4, counts_results=False)
         pair = LoadPair(a, b)
         assert pair.first is a and pair.second is b
+
+
+class TestOpTable:
+    def test_round_trip_splits_a_pair_tail(self):
+        ops = [
+            LoadPair(VectorLoad(base=0, stride=2, length=3),
+                     VectorLoad(base=100, stride=-1, length=5,
+                                counts_results=False)),
+            VectorStore(base=8, stride=1, length=2),
+            VectorCompute(length=4),
+        ]
+        table = OpTable.from_ops(ops)
+        assert table.refs().tolist() == [6, 2, 2, 0]
+        assert table.to_ops() == [
+            LoadPair(VectorLoad(base=0, stride=2, length=3),
+                     VectorLoad(base=100, stride=-1, length=3,
+                                counts_results=False)),
+            VectorLoad(base=97, stride=-1, length=2, counts_results=False),
+            VectorStore(base=8, stride=1, length=2),
+            VectorCompute(length=4),
+        ]
+
+    def test_unknown_op_rejected(self):
+        with pytest.raises(TypeError):
+            OpTable.from_ops(["bogus"])
+
+    @pytest.mark.parametrize("row", [
+        (3, 4, 0, 0, 1, 0, 0, 0, 1, 0, 0),   # unknown kind
+        (0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0),   # empty load
+        (0, 4, 5, 0, 1, 9, 1, 0, 1, 0, 0),   # more pair slots than length
+        (1, 4, 2, 0, 1, 9, 1, 0, 0, 0, 0),   # a paired store
+    ])
+    def test_malformed_rows_rejected(self, row):
+        with pytest.raises(ValueError):
+            OpTable([row])

@@ -6,6 +6,20 @@ from repro.analytical.base import MachineConfig
 from repro.analytical.vcm import VCM
 from repro.cache import DirectMappedCache, PrimeMappedCache
 from repro.machine import CCMachine, MMMachine, VCMDriver
+from repro.machine.ops import (
+    BASE1,
+    BASE2,
+    COUNTS1,
+    COUNTS2,
+    EXPECT1,
+    EXPECT2,
+    KIND,
+    LENGTH,
+    LOAD,
+    PAIRED,
+    STRIDE1,
+    STRIDE2,
+)
 
 
 def mm_machine(banks=32, t_m=8):
@@ -55,6 +69,64 @@ class TestDriverMechanics:
         driver = VCMDriver(mm_machine())
         with pytest.raises(ValueError):
             driver._draw_stride(None, 0.5)
+
+
+#: The first block of ``VCM(B=40, R=3, p_ds)`` at two seeds, captured
+#: from VCMDriver's earlier op-object form: each row's ``(length,
+#: paired, base1, stride1, base2, stride2)``.  Per block VCMDriver draws
+#: the first vector's base, then its stride; per sweep the second
+#: vector's stride, then its base.  A slip in that order changes these
+#: values before any cycle count moves.
+FIRST_BLOCKS = {
+    (1, 0.0): [(40, 0, 72136254, 14, 0, 0)] * 3,
+    (2, 0.0): [(40, 0, 30360787, 1, 0, 0)] * 3,
+    (1, 0.3): [
+        (12, 0, 72136254, 14, 0, 0), (12, 0, 72136422, 14, 0, 0),
+        (12, 0, 72136590, 14, 0, 0), (4, 4, 72136758, 14, 63307121, 6),
+        (8, 0, 63307145, 6, 0, 0),
+        (12, 0, 72136254, 14, 0, 0), (12, 0, 72136422, 14, 0, 0),
+        (12, 0, 72136590, 14, 0, 0), (4, 4, 72136758, 14, 253534732, 9),
+        (8, 0, 253534768, 9, 0, 0),
+        (12, 0, 72136254, 14, 0, 0), (12, 0, 72136422, 14, 0, 0),
+        (12, 0, 72136590, 14, 0, 0), (4, 4, 72136758, 14, 112718629, 14),
+        (8, 0, 112718685, 14, 0, 0),
+    ],
+    (2, 0.3): [
+        (12, 0, 30360787, 1, 0, 0), (12, 0, 30360799, 1, 0, 0),
+        (12, 0, 30360811, 1, 0, 0), (4, 4, 30360823, 1, 165429503, 4),
+        (8, 0, 165429519, 4, 0, 0),
+        (12, 0, 30360787, 1, 0, 0), (12, 0, 30360799, 1, 0, 0),
+        (12, 0, 30360811, 1, 0, 0), (4, 4, 30360823, 1, 19184782, 5),
+        (8, 0, 19184802, 5, 0, 0),
+        (12, 0, 30360787, 1, 0, 0), (12, 0, 30360799, 1, 0, 0),
+        (12, 0, 30360811, 1, 0, 0), (4, 4, 30360823, 1, 231214002, 4),
+        (8, 0, 231214018, 4, 0, 0),
+    ],
+}
+
+
+class TestBlockTables:
+    @pytest.mark.parametrize("seed, p_ds", sorted(FIRST_BLOCKS))
+    def test_first_block_pins_draw_order(self, seed, p_ds):
+        vcm = VCM(blocking_factor=40, reuse_factor=3, p_ds=p_ds,
+                  s2=None if p_ds == 0 else "random")
+        driver = VCMDriver(mm_machine(banks=16, t_m=4), seed=seed)
+        table = next(iter(driver.block_streams(vcm, 80)))
+        columns = [LENGTH, PAIRED, BASE1, STRIDE1, BASE2, STRIDE2]
+        assert ([tuple(row) for row in table.rows[:, columns].tolist()]
+                == FIRST_BLOCKS[seed, p_ds])
+        assert (table.rows[:, KIND] == LOAD).all()
+
+    def test_sweep_flags(self):
+        """The first sweep loads, later sweeps expect cached data; the
+        second vector (its pair slots and its tail) counts no results."""
+        vcm = VCM(blocking_factor=40, reuse_factor=3, p_ds=0.3)
+        table = next(iter(VCMDriver(mm_machine(), seed=0)
+                          .block_streams(vcm)))
+        assert table.rows[:, EXPECT1].tolist() == (
+            [0] * 5 + [1, 1, 1, 1, 0] * 2)
+        assert table.rows[:, COUNTS1].tolist() == [1, 1, 1, 1, 0] * 3
+        assert not table.rows[:, [EXPECT2, COUNTS2]].any()
 
 
 class TestCrossValidation:

@@ -305,3 +305,29 @@ class TestFiniteWriteBuffer:
         machine.reset()
         assert machine.write_buffer.occupancy == 0
         assert machine.write_buffer.stats.stores == 0
+
+
+class TestNegativeAddresses:
+    """A load or store whose strided addresses run below zero is rejected
+    on both backends, by the machine-level address check or the
+    memory/cache one behind the reference loop."""
+
+    @pytest.mark.parametrize("backend", ["scalar", "compiled"])
+    @pytest.mark.parametrize("machine_kind", ["mm", "cc-direct", "cc-prime"])
+    @pytest.mark.parametrize("op", [
+        VectorLoad(base=3, stride=-4, length=2),
+        VectorStore(base=3, stride=-4, length=2),
+    ], ids=["load", "store"])
+    def test_rejected(self, backend, machine_kind, op):
+        config = MachineConfig(num_banks=16, memory_access_time=4,
+                               cache_lines=31)
+        if machine_kind == "mm":
+            machine = MMMachine(config, backend=backend)
+        else:
+            cache = (DirectMappedCache(num_lines=32)
+                     if machine_kind == "cc-direct"
+                     else PrimeMappedCache(c=5))
+            machine = CCMachine(config, cache, backend=backend)
+        with pytest.raises(ValueError,
+                           match="addresses must be non-negative"):
+            machine.execute([VectorLoad(base=0, stride=1, length=4), op])

@@ -138,14 +138,8 @@ class TestStaleTempSweep:
         ResultStore(tmp_path)
         assert fresh.exists()  # may belong to a live writer
 
-    def test_sweep_can_be_disabled(self, tmp_path):
-        store = ResultStore(tmp_path)
-        stale = self._temp(store, age_s=7200)
-        ResultStore(tmp_path, sweep_stale=False)
-        assert stale.exists()
-
     def test_sweep_returns_what_it_removed(self, tmp_path):
-        store = ResultStore(tmp_path, sweep_stale=False)
+        store = ResultStore(tmp_path)
         stale = self._temp(store, age_s=7200)
         removed = store.sweep_stale_temps()
         assert removed == [stale]

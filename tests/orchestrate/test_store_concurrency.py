@@ -68,7 +68,7 @@ class TestSkewedClockContention:
         return path
 
     def test_stale_temp_sweep_respects_clock_skew(self, tmp_path):
-        writer = ResultStore(tmp_path, sweep_stale=False)
+        writer = ResultStore(tmp_path)
         key = KEYS[0]
         writer.save(key, payload_for(key), {"job": "x"})
         ancient = self._temp(writer, key, age_s=7200.0)  # dead peer
@@ -89,7 +89,7 @@ class TestSkewedClockContention:
         assert writer.load(key).result == payload_for(key)
 
     def test_sweep_age_is_tunable_per_peer(self, tmp_path):
-        writer = ResultStore(tmp_path, sweep_stale=False)
+        writer = ResultStore(tmp_path)
         key = KEYS[1]
         young = self._temp(writer, key, age_s=30.0)
         # a peer configured with an aggressive cutoff reaps younger
@@ -101,8 +101,8 @@ class TestSkewedClockContention:
 
     def test_corruption_evicts_but_transient_errors_do_not(
             self, tmp_path, monkeypatch):
-        store_a = ResultStore(tmp_path, sweep_stale=False)
-        store_b = ResultStore(tmp_path, sweep_stale=False)
+        store_a = ResultStore(tmp_path)
+        store_b = ResultStore(tmp_path)
         key = KEYS[2]
         store_a.save(key, payload_for(key), {"job": "x"})
 
@@ -132,8 +132,8 @@ class TestSkewedClockContention:
     def test_concurrent_saves_of_same_key_converge(self, tmp_path):
         """Two skewed peers racing to save one key: last replace wins,
         and the loser's bytes never tear the winner's entry."""
-        store_a = ResultStore(tmp_path, sweep_stale=False)
-        store_b = ResultStore(tmp_path, sweep_stale=False)
+        store_a = ResultStore(tmp_path)
+        store_b = ResultStore(tmp_path)
         key = KEYS[3]
         for _ in range(25):
             store_a.save(key, payload_for(key), {"writer": "a"})

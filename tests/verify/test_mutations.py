@@ -45,23 +45,24 @@ class TestSelfCheck:
                 f"{outcome.expected_oracles}")
 
     def test_patches_are_restored(self):
+        from repro import kernels
         from repro.analytical import congruence
         from repro.cache.prime import PrimeMappedCache
-        from repro.memory.banks import InterleavedMemory
 
         originals = (
             PrimeMappedCache._map_sets_batch,
             PrimeMappedCache.lines_touched_by_stride,
-            InterleavedMemory.service_many,
+            kernels.op_timing,
             congruence.solve_linear_congruence,
         )
         run_selfcheck(seed=0, mode="quick",
                       mutations=["fold-modulus-off-by-one",
+                                 "dropped-bank-busy-stall",
                                  "congruence-lost-solutions"])
         assert originals == (
             PrimeMappedCache._map_sets_batch,
             PrimeMappedCache.lines_touched_by_stride,
-            InterleavedMemory.service_many,
+            kernels.op_timing,
             congruence.solve_linear_congruence,
         )
 
