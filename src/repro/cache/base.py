@@ -19,17 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import kernels
-from repro.cache.stats import CacheStats, MissClassifier, MissKind
+from repro.cache.stats import (
+    MISS_KIND_CODES,
+    CacheStats,
+    MissClassifier,
+    MissKind,
+)
 
 __all__ = ["AccessResult", "BatchResult", "Cache", "MISS_KIND_CODES"]
-
-#: Integer codes used in :attr:`BatchResult.miss_kinds`; code ``0`` means
-#: "no kind" (a hit, an unclassified miss, or a bypassed write miss).
-MISS_KIND_CODES: dict[MissKind, int] = {
-    MissKind.COMPULSORY: 1,
-    MissKind.CAPACITY: 2,
-    MissKind.CONFLICT: 3,
-}
 
 
 @dataclass(frozen=True)
@@ -89,9 +86,14 @@ class Cache(ABC):
         total_lines: capacity in lines.
         line_size_words: words per line; must be a power of two.
         classify_misses: run the fully-associative LRU shadow that labels
-            every miss compulsory/capacity/conflict.  Costs O(1) per access
-            and a set of all lines ever touched; disable for very long
-            traces where only hit ratios matter.
+            every miss compulsory/capacity/conflict.  The scalar
+            :meth:`access` updates it per access; :meth:`access_many`
+            on the compiled backend replays the batch through the same
+            residency engine as an unclassified cache and then labels
+            its misses from one stack-distance pass
+            (:meth:`~repro.cache.stats.MissClassifier.classify_batch`).
+            Either way it keeps a set of all lines ever touched; disable
+            it for very long traces where only hit ratios matter.
         write_allocate: whether a write miss fills the line (the paper's
             machine model assumes writes are buffered and never stall, but
             the cache contents still matter for later reads).
@@ -214,33 +216,35 @@ class Cache(ABC):
         )
 
     def _replay_compiled(self, lines, sets, writes, want_hits: bool):
-        """Replay a pre-mapped batch through :mod:`repro.kernels`, if able.
+        """Replay a pre-mapped batch's residency through :mod:`repro.kernels`.
 
         ``lines``/``sets`` are int64 arrays, ``writes`` a bool array or
         ``None``.  Returns ``(hits, misses, evictions, hits_array or
         None)``, or ``None`` when this organisation has no kernel form
-        (random replacement, active miss classifier, an N-way cache
-        without generated C), in which case :meth:`access_many` runs the
-        :meth:`_replay_premapped` loop.  Only consulted for
-        ``backend="compiled"`` with no per-access kind output.
+        (random replacement, an N-way cache without generated C or above
+        :data:`~repro.cache.set_assoc.ASSOC_SCAN_WAYS` ways), in which
+        case :meth:`access_many` runs the :meth:`_replay_premapped` loop.
+        Only consulted for ``backend="compiled"``; a miss classifier, if
+        any, labels the batch afterwards from the hit array.
         """
         return None
 
-    def _replay_premapped(self, lines, sets, writes, hits_out, kinds_out):
+    def _replay_premapped(self, lines, sets, writes, hits_out, kinds_out,
+                          classify):
         """Sequential residency loop over pre-mapped line/set lists.
 
         ``lines``/``sets`` are plain Python lists (one entry per access);
         ``writes`` is a bool list or ``None`` for a read-only batch;
         ``hits_out``/``kinds_out`` are output lists to append per-access
-        outcomes to, or ``None``.  Returns ``(hits, misses, evictions,
-        kind_counts)``.  Must replay *exactly* the :meth:`access` state
-        machine — the property tests cross-check the two bit-for-bit.
+        outcomes to, or ``None``; ``classify`` is the classifier's
+        per-access :meth:`~repro.cache.stats.MissClassifier.classify`, or
+        ``None`` to leave the batch unlabelled.  Returns ``(hits, misses,
+        evictions, kind_counts)``.  Must replay *exactly* the
+        :meth:`access` state machine — the property tests cross-check the
+        two bit-for-bit.
         """
         lookup, touch, fill = self._lookup, self._touch, self._fill
         mark_dirty = self._mark_dirty
-        classify = (
-            self._classifier.classify if self._classifier is not None else None
-        )
         write_allocate = self.write_allocate
         kind_codes = MISS_KIND_CODES
         hit_count = miss_count = evictions = 0
@@ -272,6 +276,46 @@ class Cache(ABC):
             if kinds_out is not None:
                 kinds_out.append(0 if kind is None else kind_codes[kind])
         return hit_count, miss_count, evictions, kind_counts
+
+    def _replay_labelled(self, lines, sets, writes, writes_list,
+                         return_hits: bool, return_kinds: bool):
+        """The compiled backend's replay: residency, then miss labels.
+
+        The batch's residency runs on :meth:`_replay_compiled` (else the
+        :meth:`_replay_premapped` loop), exactly as for an unclassified
+        cache; a classifier then labels the accesses that hit or
+        allocate in one :meth:`~repro.cache.stats.MissClassifier.classify_batch`
+        pass over the hit array.  Returns ``(hits, misses, evictions,
+        kind_counts, hits array or None, kind codes or None)``.
+        """
+        classifier = self._classifier
+        want_hits = return_hits or classifier is not None
+        compiled = self._replay_compiled(lines, sets, writes, want_hits)
+        if compiled is None:
+            hits_list = [] if want_hits else None
+            hit_count, miss_count, evictions, _ = self._replay_premapped(
+                lines.tolist(), sets.tolist(), writes_list, hits_list, None,
+                None)
+            hits = np.asarray(hits_list, dtype=bool) if want_hits else None
+        else:
+            hit_count, miss_count, evictions, hits = compiled
+        kind_counts = {kind: 0 for kind in MissKind}
+        kinds = None
+        if classifier is not None:
+            if writes is None or self.write_allocate:
+                kinds = classifier.classify_batch(lines, hits)
+            else:
+                # a no-allocate store miss bypasses the cache and the shadow
+                fed = hits | ~writes
+                kinds = np.zeros(lines.size, dtype=np.uint8)
+                kinds[fed] = classifier.classify_batch(lines[fed], hits[fed])
+            counts = np.bincount(kinds, minlength=len(MISS_KIND_CODES) + 1)
+            kind_counts = {kind: int(counts[code])
+                           for kind, code in MISS_KIND_CODES.items()}
+        elif return_kinds:
+            kinds = np.zeros(lines.size, dtype=np.uint8)
+        return (hit_count, miss_count, evictions, kind_counts,
+                hits if return_hits else None, kinds)
 
     def _replay_scalar(self, addresses, writes, hits_out, kinds_out) -> None:
         """Batch fallback through :meth:`access`, for subclasses that
@@ -321,11 +365,13 @@ class Cache(ABC):
             return_kinds: also return per-access miss-kind codes
                 (:data:`MISS_KIND_CODES`; all zeros without a classifier).
             backend: ``"scalar"`` replays through the generic per-access
-                state machine; ``"compiled"`` dispatches to
-                :mod:`repro.kernels` when the organisation has a kernel
-                form (falling back to the state machine otherwise).
-                ``None`` takes :func:`repro.kernels.default_backend`.
-                Both are bit-for-bit equivalent.
+                state machine, classifier included; ``"compiled"``
+                replays residency through :mod:`repro.kernels` when the
+                organisation has a kernel form (else through the state
+                machine's residency loop) and labels misses with one
+                stack-distance pass (:meth:`_replay_labelled`).  ``None``
+                takes :func:`repro.kernels.default_backend`.  Both are
+                bit-for-bit equivalent.
 
         Returns:
             A :class:`BatchResult` with this batch's stats delta.
@@ -369,23 +415,18 @@ class Cache(ABC):
         else:
             lines = addrs >> self._offset_bits if self._offset_bits else addrs
             sets = self._map_sets_batch(lines)
-            compiled = (
-                self._replay_compiled(
+            if backend == "compiled":
+                (hit_count, miss_count, evictions, kind_counts, hits_out,
+                 kinds_out) = self._replay_labelled(
                     lines, sets, writes_arr if writes_total else None,
-                    return_hits,
-                )
-                if backend == "compiled" and kinds_out is None else None
-            )
-            if compiled is not None:
-                hit_count, miss_count, evictions, hits_arr = compiled
-                kind_counts = {kind: 0 for kind in MissKind}
-                if return_hits:
-                    hits_out = hits_arr
+                    writes_list, return_hits, return_kinds)
             else:
+                classify = (None if self._classifier is None
+                            else self._classifier.classify)
                 hit_count, miss_count, evictions, kind_counts = (
                     self._replay_premapped(
                         lines.tolist(), sets.tolist(), writes_list,
-                        hits_out, kinds_out,
+                        hits_out, kinds_out, classify,
                     )
                 )
             stats = self.stats

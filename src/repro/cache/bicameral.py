@@ -216,9 +216,8 @@ class BicameralCache(Cache):
         # them one after the other is bit-for-bit the interleaved
         # sequential replay.  The halves' own ``stats`` see only batches
         # routed this way — per-half metrics come from
-        # :meth:`vector_mask` instead.
-        if self._classifier is not None:
-            return None
+        # :meth:`vector_mask` instead.  The halves are unclassified; the
+        # composite's classifier labels the whole batch afterwards.
         mask = sets >= self.boundary
         hit_count = miss_count = evictions = 0
         hits_arr = np.empty(lines.size, dtype=bool) if want_hits else None

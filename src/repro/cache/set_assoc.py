@@ -34,6 +34,11 @@ associativity:
   the line in that way, its one O(ways) step), the column-associative
   cache counts hits by way, and the compiled kernels fill the lowest
   empty way, so every engine must agree on where each line sits.
+* **Batched replay keeps a mirror of its own.**  The compiled kernels
+  advance flattened numpy arrays across batches (per ``[set, way]``
+  slot: resident line and dirty bit, plus a recency stamp in N-way
+  caches); the dicts and the mirror are each rebuilt from the other
+  only after the other side changed residency.
 """
 
 from __future__ import annotations
@@ -51,7 +56,18 @@ from repro.cache.replacement import (
     make_policy,
 )
 
-__all__ = ["SetAssociativeCache"]
+__all__ = ["ASSOC_SCAN_WAYS", "SetAssociativeCache"]
+
+#: Most ways an N-way batch replays through :func:`repro.kernels.replay_assoc`,
+#: which scans every way of the set on each access; above it the per-set
+#: dict loop, whose cost does not grow with the ways, is faster.  Measured
+#: on a 2-vCPU x86-64 host, generated C live: an unclassified stride-8
+#: vector of 4096 words swept twice through a fully-associative cache,
+#: k refs/s of the kernel against the dict loop, three runs each:
+#: 512 ways 1159/770, 787/1025, 1097/997; 768 ways 763/530, 596/484,
+#: 894/709; 1024 ways 536/647, 448/575, 654/618; 1536 ways 392/533,
+#: 332/480; 2048 ways 351/596; 8192 ways 333/2186.
+ASSOC_SCAN_WAYS = 768
 
 
 class SetAssociativeCache(Cache):
@@ -110,13 +126,17 @@ class SetAssociativeCache(Cache):
         # set index -> min-heap of ways invalidate_line freed below the
         # set's highest filled way; only sets with such holes appear
         self._holes: dict[int, list[int]] = {}
-        # One-way batched replay keeps residency in a numpy mirror
-        # (resident line per set, -1 empty, plus a dirty bitmap) so whole
-        # batches never touch the per-set dicts.  ``_mirror_ok`` marks the
-        # mirror as current; ``_dicts_stale`` marks the dicts as behind
-        # the mirror (every scalar-path reader syncs them back first).
+        # Batched replay keeps residency in a numpy mirror of the
+        # flattened [set, way] slots (resident line, -1 empty, plus a
+        # dirty bitmap, and for N-way caches the recency stamps the
+        # kernel's victim choice reads) so whole batches never touch the
+        # per-set dicts.  ``_mirror_ok`` marks the mirror as current;
+        # ``_dicts_stale`` marks the dicts as behind the mirror (every
+        # scalar-path reader syncs them back first).
         self._mirror: np.ndarray | None = None
         self._mirror_dirty: np.ndarray | None = None
+        self._mirror_stamps: np.ndarray | None = None
+        self._tick = 0              # next N-way stamp
         self._mirror_ok = False
         self._dicts_stale = False
 
@@ -134,18 +154,39 @@ class SetAssociativeCache(Cache):
         return lines % self.num_sets
 
     def _load_mirror(self) -> np.ndarray:
-        """Bring the one-way residency mirror up to date; returns it."""
+        """Bring the residency mirror up to date; returns it.
+
+        An N-way rebuild stamps each set's lines 1, 2, ... in dict order,
+        so the minimum stamp is the dict's first entry, the policy's
+        victim; the kernel's ticks continue above them.
+        """
+        ways = self.num_ways
         if self._mirror is None:
-            self._mirror = np.full(self.num_sets, -1, dtype=np.int64)
-            self._mirror_dirty = np.zeros(self.num_sets, dtype=bool)
+            size = self.num_sets * ways
+            self._mirror = np.full(size, -1, dtype=np.int64)
+            self._mirror_dirty = np.zeros(size, dtype=bool)
+            if ways > 1:
+                self._mirror_stamps = np.zeros(size, dtype=np.int64)
         if not self._mirror_ok:
             mirror, mirror_dirty = self._mirror, self._mirror_dirty
             mirror.fill(-1)
             mirror_dirty.fill(False)
+            slots: list[int] = []
+            resident_lines: list[int] = []
+            positions: list[int] = []
             for set_index, resident in self._sets.items():
-                for line in resident:
-                    mirror[set_index] = line
-                    mirror_dirty[set_index] = line in self._dirty
+                base = set_index * ways
+                for pos, (line, way) in enumerate(resident.items(), 1):
+                    slots.append(base + way)
+                    resident_lines.append(line)
+                    positions.append(pos)
+            mirror[slots] = resident_lines
+            mirror_dirty[slots] = [line in self._dirty
+                                   for line in resident_lines]
+            if ways > 1:
+                self._mirror_stamps.fill(0)
+                self._mirror_stamps[slots] = positions
+                self._tick = ways + 1
             self._mirror_ok = True
         return self._mirror
 
@@ -156,20 +197,41 @@ class SetAssociativeCache(Cache):
             return
         self._dicts_stale = False
         mirror = self._mirror
-        resident = np.flatnonzero(mirror >= 0)
-        self._sets = {
-            set_index: {line: 0}
-            for set_index, line in zip(resident.tolist(),
-                                       mirror[resident].tolist())
-        }
         self._dirty = set(mirror[self._mirror_dirty].tolist())
+        if self.num_ways == 1:
+            resident = np.flatnonzero(mirror >= 0)
+            self._sets = {
+                set_index: {line: 0}
+                for set_index, line in zip(resident.tolist(),
+                                           mirror[resident].tolist())
+            }
+            return
+        # Sorting a set's ways by stamp recovers its recency order:
+        # untouched lines keep their small rebuild stamps, touched ones
+        # carry the kernel's monotonic ticks above them.
+        num_sets, num_ways = self.num_sets, self.num_ways
+        grid = mirror.reshape(num_sets, num_ways)
+        filled = np.flatnonzero((grid >= 0).any(axis=1))
+        order = np.argsort(
+            self._mirror_stamps.reshape(num_sets, num_ways)[filled],
+            axis=1, kind="stable")
+        self._sets = {
+            set_index: {row[w]: w for w in ways if row[w] >= 0}
+            for set_index, ways, row in zip(
+                filled.tolist(), order.tolist(), grid[filled].tolist())
+        }
+        # The kernel fills the lowest empty way and never empties one, so
+        # a freed way is still a hole exactly when it is still empty.
+        holes = {}
+        for set_index, heap in self._holes.items():
+            free = sorted(w for w in heap if grid[set_index, w] < 0)
+            if free:
+                holes[set_index] = free
+        self._holes = holes
 
     def _replay_compiled(self, lines, sets, writes, want_hits: bool):
         lru = isinstance(self.policy, LRUPolicy)
-        if (
-            self._classifier is not None
-            or not (lru or isinstance(self.policy, FIFOPolicy))
-        ):
+        if not (lru or isinstance(self.policy, FIFOPolicy)):
             return None
         hits_arr = np.empty(lines.size, dtype=bool) if want_hits else None
         if self.num_ways == 1:
@@ -183,58 +245,19 @@ class SetAssociativeCache(Cache):
             if m or writes is not None:
                 self._dicts_stale = True
             return h, m, e, hits_arr
-        if not kernels.has_compiled_provider():
-            # Without generated C the per-set dict loop beats a Python
-            # kernel over flattened [set, way] arrays.
+        if (self.num_ways > ASSOC_SCAN_WAYS
+                or not kernels.has_compiled_provider()):
+            # Without generated C, or past the way scan's break-even
+            # associativity, the per-set dict loop is the faster engine.
             return None
-        # N-way: flatten the filled sets into [set, way] arrays (stamp =
-        # position in the set's dict + 1, so the minimum stamp is the
-        # first entry == the policy victim), run the kernel, then rebuild
-        # the dicts of every set that holds a line afterwards.
-        num_sets, num_ways = self.num_sets, self.num_ways
-        tags = np.full(num_sets * num_ways, -1, dtype=np.int64)
-        stamps = np.zeros(num_sets * num_ways, dtype=np.int64)
-        dirty = np.zeros(num_sets * num_ways, dtype=np.uint8)
-        slots: list[int] = []
-        resident_lines: list[int] = []
-        positions: list[int] = []
-        for set_index, resident in self._sets.items():
-            base = set_index * num_ways
-            for pos, (line, way) in enumerate(resident.items(), 1):
-                slots.append(base + way)
-                resident_lines.append(line)
-                positions.append(pos)
-        tags[slots] = resident_lines
-        stamps[slots] = positions
-        dirty[slots] = [line in self._dirty for line in resident_lines]
-        h, m, e, _ = kernels.replay_assoc(
-            lines, sets, writes, num_ways, self.write_allocate, lru,
-            num_ways + 1,
-            tags, stamps, dirty, hits_arr,
+        mirror = self._load_mirror()      # (re)sets the tick on a rebuild
+        h, m, e, self._tick = kernels.replay_assoc(
+            lines, sets, writes, self.num_ways, self.write_allocate, lru,
+            self._tick, mirror, self._mirror_stamps, self._mirror_dirty,
+            hits_arr,
         )
-        # Sorting a set's ways by stamp recovers its recency order:
-        # untouched lines keep their small build stamps, touched ones
-        # carry the kernel's monotonic ticks above them.
-        grid = tags.reshape(num_sets, num_ways)
-        filled = np.flatnonzero((grid >= 0).any(axis=1))
-        order = np.argsort(
-            stamps.reshape(num_sets, num_ways)[filled], axis=1, kind="stable"
-        )
-        self._sets = {
-            set_index: {row[w]: w for w in ways if row[w] >= 0}
-            for set_index, ways, row in zip(
-                filled.tolist(), order.tolist(), grid[filled].tolist()
-            )
-        }
-        self._dirty = set(tags[dirty != 0].tolist())
-        # The kernel also fills the lowest empty way, so a freed way is
-        # still a hole exactly when the kernel left it empty.
-        holes = {}
-        for set_index, heap in self._holes.items():
-            free = sorted(w for w in heap if grid[set_index, w] < 0)
-            if free:
-                holes[set_index] = free
-        self._holes = holes
+        if lines.size:
+            self._dicts_stale = True
         return h, m, e, hits_arr
 
     def _lookup(self, line_address: int, set_index: int) -> bool:
@@ -245,6 +268,8 @@ class SetAssociativeCache(Cache):
     def _touch(self, line_address: int, set_index: int) -> None:
         if self._dicts_stale:
             self._sync_dicts()
+        if self.num_ways > 1:
+            self._mirror_ok = False     # the hit may reorder the set
         self.policy.on_hit(self._sets[set_index], line_address)
 
     def _mark_dirty(self, line_address: int, set_index: int) -> None:

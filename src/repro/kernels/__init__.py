@@ -1,9 +1,10 @@
 """Compiled kernels behind the ``backend`` knob.
 
 Every stateful hot loop in the simulator — the per-set residency update
-of :meth:`repro.cache.base.Cache.access_many`, the MM/CC trace-timing
-loops, the vector machines' op-table address expansion and timing loop,
-and Belady OPT — has two engines:
+of :meth:`repro.cache.base.Cache.access_many` and the LRU stack distances
+that label its misses, the MM/CC trace-timing loops, the vector
+machines' op-table address expansion and timing loop, and Belady OPT —
+has two engines:
 
 * ``"scalar"`` — the per-access object-model state machines (slow,
   simple, the reference every oracle compares against);
@@ -45,6 +46,7 @@ __all__ = [
     "backend_info",
     "replay_oneway",
     "replay_assoc",
+    "stack_hits",
     "mm_timing",
     "cc_timing",
     "pair_flat",
@@ -187,6 +189,31 @@ def replay_assoc(lines, sets, writes, num_ways, write_allocate, lru, tick,
         int(bool(write_allocate)), int(bool(lru)), int(tick),
         tags, stamps, _u8(dirty), _u8(hits_out),
     )
+
+
+def stack_hits(lines, recent, capacity, cold_out=None):
+    """Mattson stack hits against a ``capacity``-line LRU shadow.
+
+    ``recent`` is the shadow before the batch (distinct lines, oldest
+    first, at most ``capacity``).  Returns ``(hits, new_recent)``: a bool
+    per line, ``True`` when its stack distance is below ``capacity``, and
+    the shadow after the batch.  ``cold_out``, a bool array of one flag
+    per line or ``None``, receives ``True`` where the line has no earlier
+    use in ``recent`` or the batch (see :mod:`repro.kernels.reference`).
+    The generated-C form's scratch grows with ``len(recent) +
+    len(lines)``; callers with unbounded batches cut them into chunks.
+    """
+    lines = _i64(lines)
+    recent = _i64(recent)
+    capacity = int(capacity)
+    if capacity <= 0:
+        raise ValueError("stack capacity must be positive")
+    if recent.size > capacity:
+        raise ValueError("recent holds more lines than the capacity")
+    cold = _u8(cold_out)
+    if cold is not None and cold.size != lines.size:
+        raise ValueError("cold_out needs one flag per line")
+    return _resolve_provider().stack_hits(lines, recent, capacity, cold)
 
 
 def mm_timing(banks, writes, t_m, free_at, counts, state):

@@ -32,6 +32,7 @@ __all__ = ["load", "build_error"]
 
 _SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 
 /* One-way (direct/prime-mapped) residency replay: sets[i] is the set of
  * lines[i], current[s] the resident line of set s (-1 empty), dirty[s]
@@ -128,6 +129,112 @@ void repro_replay_assoc(const int64_t *lines, const int64_t *sets,
     out[1] = misses;
     out[2] = evictions;
     out[3] = tick;
+}
+
+/* Open-addressing table entry of the stack kernel: a line and the
+ * history position of its last use (-1: empty entry). */
+typedef struct {
+    int64_t line;
+    int64_t last;
+} stack_entry;
+
+/* Entry of `line` in a table of `mask + 1` entries (a power of two): its
+ * own, or the empty one it would take.  Fibonacci hashing spreads
+ * strided lines over the table. */
+static int64_t stack_slot(const stack_entry *table, int64_t mask, int shift,
+                          int64_t line) {
+    int64_t h = (int64_t)(((uint64_t)line * 0x9E3779B97F4A7C15ull) >> shift);
+    while (table[h].last >= 0 && table[h].line != line)
+        h = (h + 1) & mask;
+    return h;
+}
+
+/* Mattson stack hits over the history recent[0..r) ++ lines[0..n):
+ * hits_out[j] = 1 when lines[j] is among the `capacity` most recently
+ * used distinct lines before it (stack distance < capacity).  recent
+ * holds r distinct lines, oldest first.  Bennett-Kruskal: a Fenwick
+ * tree over history positions marks each line's last use, so a reuse's
+ * distance is the number of marks after its previous use (a reuse fewer
+ * than `capacity` positions back is a hit without the count).  The
+ * table maps each line to its last use.  cold_out (may be NULL) receives
+ * 1 where lines[j] has no earlier use in the history.
+ * new_recent[0..*new_r) receives the `capacity` most recently used
+ * distinct lines, oldest first.  Returns 0, or -1 when the scratch
+ * cannot be allocated. */
+int64_t repro_stack_hits(const int64_t *lines, int64_t n,
+                         const int64_t *recent, int64_t r, int64_t capacity,
+                         uint8_t *hits_out, uint8_t *cold_out,
+                         int64_t *new_recent, int64_t *new_r) {
+    int64_t m = r + n, size = 16;
+    int shift = 60;
+    while (size < m + m / 2) {
+        size <<= 1;
+        shift--;
+    }
+    int64_t mask = size - 1;
+    stack_entry *table = malloc(size * sizeof(stack_entry));
+    int32_t *tree = malloc((m + 1) * sizeof(int32_t));
+    if (table == 0 || tree == 0) {
+        free(table);
+        free(tree);
+        return -1;
+    }
+    for (int64_t i = 0; i < size; i++)
+        table[i].last = -1;
+    /* history position k is tree index k + 1; node i sums (i - lowbit, i],
+     * and the marks start on the r recent lines */
+    for (int64_t i = 1; i <= m; i++) {
+        int64_t lo = i - (i & -i), hi = i < r ? i : r;
+        tree[i] = hi > lo ? (int32_t)(hi - lo) : 0;
+    }
+    for (int64_t k = 0; k < r; k++) {
+        stack_entry *e = table + stack_slot(table, mask, shift, recent[k]);
+        e->line = recent[k];
+        e->last = k;
+    }
+    int64_t marks = r;
+    for (int64_t j = 0; j < n; j++) {
+        int64_t pos = r + j, line = lines[j];
+        stack_entry *e = table + stack_slot(table, mask, shift, line);
+        int64_t prev = e->last;
+        uint8_t hit = 0;
+        if (prev >= 0) {
+            if (pos - prev <= capacity) {
+                hit = 1;
+            } else {
+                int64_t upto = 0;
+                for (int64_t i = prev + 1; i > 0; i -= i & -i)
+                    upto += tree[i];
+                hit = marks - upto < capacity;
+            }
+            for (int64_t i = prev + 1; i <= m; i += i & -i)
+                tree[i]--;
+        } else {
+            e->line = line;
+            marks++;
+        }
+        e->last = pos;
+        for (int64_t i = pos + 1; i <= m; i += i & -i)
+            tree[i]++;
+        hits_out[j] = hit;
+        if (cold_out != 0)
+            cold_out[j] = prev < 0;
+    }
+    int64_t count = 0;
+    for (int64_t k = m - 1; k >= 0 && count < capacity; k--) {
+        int64_t line = k < r ? recent[k] : lines[k - r];
+        if (table[stack_slot(table, mask, shift, line)].last == k)
+            new_recent[count++] = line;
+    }
+    for (int64_t a = 0, b = count - 1; a < b; a++, b--) {
+        int64_t t = new_recent[a];
+        new_recent[a] = new_recent[b];
+        new_recent[b] = t;
+    }
+    *new_r = count;
+    free(table);
+    free(tree);
+    return 0;
 }
 
 /* MM-machine per-access timing loop over precomputed banks.  state =
@@ -511,6 +618,7 @@ _SIGNATURES = {
     "repro_replay_assoc": [
         _I64, _I64, _U8, _N, _N, _N, _N, _N, _I64, _I64, _U8, _U8, _I64,
     ],
+    "repro_stack_hits": [_I64, _N, _I64, _N, _N, _U8, _U8, _I64, _I64],
     "repro_mm_timing": [_I64, _U8, _N, _N, _I64, _I64, _I64],
     "repro_cc_timing": [
         _I64, _U8, _U8, _U8, _N, _N, _N, _N, _I64, _I64, _I64,
@@ -527,7 +635,7 @@ _SIGNATURES = {
 }
 
 #: entry points that check their arguments and return 0 or -1
-_CHECKED = ("repro_op_addresses", "repro_op_timing")
+_CHECKED = ("repro_stack_hits", "repro_op_addresses", "repro_op_timing")
 
 _build_error: str | None = None
 
@@ -594,6 +702,20 @@ class _CExtProvider:
             _u8(dirty), _u8(hits_out), _i64(out),
         )
         return int(out[0]), int(out[1]), int(out[2]), int(out[3])
+
+    def stack_hits(self, lines, recent, capacity, cold_out):
+        if recent.size + lines.size >= 1 << 31:
+            raise ValueError("stack_hits counts history positions in int32")
+        hits = np.empty(lines.size, dtype=bool)
+        new_recent = np.empty(min(capacity, recent.size + lines.size),
+                              dtype=np.int64)
+        count = np.zeros(1, dtype=np.int64)
+        if self._lib.repro_stack_hits(
+                _i64(lines), lines.size, _i64(recent), recent.size, capacity,
+                _u8(hits.view(np.uint8)), _u8(cold_out), _i64(new_recent),
+                _i64(count)):
+            raise MemoryError("stack_hits scratch allocation failed")
+        return hits, new_recent[:int(count[0])]
 
     def mm_timing(self, banks, writes, t_m, free_at, counts, state):
         self._lib.repro_mm_timing(

@@ -8,8 +8,8 @@ also what a host without a C compiler runs, so each kernel takes the
 fastest pure-Python form of its loop: the one-way replay is a numpy
 closed form for read-only batches and a list loop otherwise, the op-table
 address expansion is numpy, the op-table timing loop walks only the slots
-that touch memory, the other timing loops run on plain lists, and Belady
-OPT is a dict loop.
+that touch memory, the other timing loops run on plain lists, the stack
+distances are an ``OrderedDict`` LRU loop, and Belady OPT is a dict loop.
 
 Shared conventions:
 
@@ -29,7 +29,7 @@ Shared conventions:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
+from collections import OrderedDict, defaultdict
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from repro.machine.ops import (
 )
 
 __all__ = [
-    "replay_oneway", "replay_assoc", "mm_timing", "cc_timing",
+    "replay_oneway", "replay_assoc", "stack_hits", "mm_timing", "cc_timing",
     "pair_flat", "op_addresses", "op_timing", "belady_opt",
 ]
 
@@ -223,6 +223,45 @@ def replay_assoc(lines, sets, writes, num_ways, write_allocate, lru, tick,
                 stamps[base + slot] = tick
                 tick += 1
     return hits, misses, evictions, tick
+
+
+def stack_hits(lines, recent, capacity, cold_out):
+    """Mattson stack hits of ``lines`` against a ``capacity``-line LRU.
+
+    ``recent`` holds the distinct lines of the history before the batch,
+    at most ``capacity`` of them, oldest first.  Returns ``(hits,
+    new_recent)``: ``hits[j]`` is ``True`` when ``lines[j]`` is among the
+    ``capacity`` most recently used distinct lines before it (its stack
+    distance is below ``capacity``), and ``new_recent`` is the
+    ``capacity`` most recently used distinct lines after the batch,
+    oldest first.  ``cold_out`` (or ``None``) receives a flag per line:
+    set when the line has no earlier use in ``recent`` or the batch.
+    This form is the fully-associative LRU shadow itself: an
+    ``OrderedDict`` that moves each reused line to its end and drops its
+    first entry past ``capacity``.
+    """
+    lru = OrderedDict.fromkeys(recent.tolist())
+    move_to_end = lru.move_to_end
+    popitem = lru.popitem
+    history = set(lru)
+    hits = []
+    cold = []
+    for line in lines.tolist():
+        if line in lru:
+            move_to_end(line)
+            hits.append(True)
+            cold.append(False)
+        else:
+            lru[line] = None
+            if len(lru) > capacity:
+                popitem(last=False)
+            hits.append(False)
+            cold.append(line not in history)
+            history.add(line)
+    if cold_out is not None:
+        cold_out[:] = cold
+    return (np.array(hits, dtype=bool),
+            np.fromiter(lru, dtype=np.int64, count=len(lru)))
 
 
 def mm_timing(banks, writes, t_m, free_at, counts, state):

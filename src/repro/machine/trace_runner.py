@@ -141,8 +141,8 @@ def _run_cached_compiled(machine: CCMachine, trace: Trace,
 
     The cache's state evolution does not depend on the clock, so each
     chunk's probe sequence runs through the cache's batched path up
-    front (the three-C classifier the stall rule needs is a dict shadow,
-    so classified probes take the cache's state-machine loop); the
+    front: the residency kernels give the hits, and the classifier's
+    stack-distance pass the three-C kinds the stall rule needs.  The
     per-access timing loop over the probe outcomes is the kernel.  Only
     misses touch the banks and the read buses.
     """

@@ -43,6 +43,7 @@ from typing import Any, Mapping
 
 from repro.orchestrate.fingerprint import canonical_params
 from repro.orchestrate.job import Job, resolve
+from repro.serve.queries import check_trace_params
 
 __all__ = ["ProtocolError", "Query", "normalise"]
 
@@ -144,6 +145,11 @@ def _synthetic(kind: str, body: dict, registry: Mapping[str, Job]) -> Query:
     fn_ref, modules = _QUERY_FNS[kind]
     params = _as_params(body[kind], kind)
     _check_params(fn_ref, params)
+    if kind == "trace":
+        try:
+            check_trace_params(params)
+        except ValueError as error:
+            raise ProtocolError(str(error)) from None
     job = Job(name=f"{kind}@{_params_digest(params)}", fn=fn_ref,
               params=params, modules=modules)
     jobs = dict(registry)

@@ -13,7 +13,26 @@ the cache key, so two clients posting the same config share one entry.
 
 from __future__ import annotations
 
+import inspect
+from typing import Any, Mapping
+
+# The query functions only: the repository benchmark's tracer times every
+# name listed here as a query span.  ``check_trace_params`` and the trace
+# bounds are imported by name.
 __all__ = ["trace_query", "vcm_batch_query", "vcm_batch_view", "vcm_query"]
+
+#: Most references one trace query replays (``length * sweeps``): about a
+#: second of a pool worker on the classified engines, and 32 MB of trace.
+TRACE_REF_BUDGET = 1 << 22
+
+#: Widest cache index ``c`` a trace query may build.  A one-way cache's
+#: batched replay keeps one int64 per set, so ``2**20`` sets cost 8 MB.
+TRACE_MAX_C = 20
+
+#: Largest word address a trace query may touch (int64 headroom).
+_TRACE_MAX_ADDRESS = 1 << 62
+
+_TRACE_ORGANISATIONS = ("assoc", "direct", "prime")
 
 
 def vcm_query(*, blocking_factor: int = 1024, reuse_factor: float = 32.0,
@@ -83,6 +102,57 @@ def vcm_batch_view(inputs: dict, *, order: list[int]) -> list[dict]:
     return [batch[index] for index in order]
 
 
+def check_trace_params(params: Mapping[str, Any]) -> None:
+    """Reject a :func:`trace_query` parameter set before any work runs.
+
+    Parameters left out take :func:`trace_query`'s defaults.  Raises
+    ``ValueError`` unless every integer parameter is an integer (JSON
+    ``3.5`` and ``true`` are not), ``kind`` and ``organisation`` are
+    supported, ``c`` is in the organisation's range (``1 ..``
+    :data:`TRACE_MAX_C`, and a Mersenne prime exponent for ``prime``),
+    ``length * sweeps`` is within :data:`TRACE_REF_BUDGET`, ``t_m`` is
+    non-negative and every address lies in ``0 .. 2**62``.
+    """
+    from repro.core.mersenne import is_mersenne_exponent
+
+    spec = {name: parameter.default for name, parameter
+            in inspect.signature(trace_query).parameters.items()}
+    spec.update(params)
+    for name in ("base", "stride", "length", "sweeps", "c", "t_m"):
+        value = spec[name]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"trace {name} must be an integer, "
+                             f"got {value!r}")
+    if spec["kind"] != "strided":
+        raise ValueError(f"unsupported trace kind {spec['kind']!r}; "
+                         f"expected 'strided'")
+    organisation = spec["organisation"]
+    if organisation not in _TRACE_ORGANISATIONS:
+        raise ValueError(f"organisation must be one of "
+                         f"{list(_TRACE_ORGANISATIONS)}, "
+                         f"got {organisation!r}")
+    c = spec["c"]
+    if not 1 <= c <= TRACE_MAX_C:
+        raise ValueError(f"trace c must be in 1..{TRACE_MAX_C}, got {c}")
+    if organisation == "prime" and not is_mersenne_exponent(c):
+        raise ValueError(f"a prime cache needs a Mersenne prime exponent "
+                         f"c, got {c}")
+    length, sweeps = spec["length"], spec["sweeps"]
+    if length < 1 or sweeps < 1:
+        raise ValueError("trace length and sweeps must be positive")
+    if length * sweeps > TRACE_REF_BUDGET:
+        raise ValueError(f"trace length x sweeps = {length * sweeps} "
+                         f"exceeds the budget of {TRACE_REF_BUDGET} "
+                         f"references")
+    if spec["t_m"] < 0:
+        raise ValueError("trace t_m must be non-negative")
+    last = spec["base"] + spec["stride"] * (length - 1)
+    if not (0 <= spec["base"] < _TRACE_MAX_ADDRESS
+            and 0 <= last < _TRACE_MAX_ADDRESS):
+        raise ValueError(f"trace addresses must lie in 0..2**62, got "
+                         f"{spec['base']}..{last}")
+
+
 def trace_query(*, kind: str = "strided", base: int = 0, stride: int = 8,
                 length: int = 4096, sweeps: int = 1, c: int = 13,
                 organisation: str = "prime", t_m: int = 32) -> dict:
@@ -90,9 +160,11 @@ def trace_query(*, kind: str = "strided", base: int = 0, stride: int = 8,
 
     ``kind`` currently supports ``"strided"`` (the paper's canonical
     access pattern); the spec is deliberately a strict, validated schema
-    so that identical requests normalise to identical cache keys.  The
-    replay runs on the worker's default backend; every backend gives the
-    same statistics, so the engine is not part of the key.
+    so that identical requests normalise to identical cache keys, and
+    :func:`check_trace_params` bounds it (the service checks it while
+    normalising a request, before anything is scheduled).  The replay
+    runs on the worker's default backend; every backend gives the same
+    statistics, so the engine is not part of the key.
     """
     from repro.cache import (
         DirectMappedCache,
@@ -101,18 +173,15 @@ def trace_query(*, kind: str = "strided", base: int = 0, stride: int = 8,
     )
     from repro.trace import replay, strided
 
-    if kind != "strided":
-        raise ValueError(f"unsupported trace kind {kind!r}; "
-                         f"expected 'strided'")
+    check_trace_params({"kind": kind, "base": base, "stride": stride,
+                        "length": length, "sweeps": sweeps, "c": c,
+                        "organisation": organisation, "t_m": t_m})
     lines = 1 << c
     factories = {
         "prime": lambda: PrimeMappedCache(c=c),
         "direct": lambda: DirectMappedCache(num_lines=lines),
         "assoc": lambda: FullyAssociativeCache(num_lines=lines),
     }
-    if organisation not in factories:
-        raise ValueError(f"organisation must be one of {sorted(factories)}, "
-                         f"got {organisation!r}")
     trace = strided(base, stride, length, sweeps=sweeps)
     result = replay(trace, factories[organisation](), t_m=t_m)
     return {

@@ -14,7 +14,10 @@ mistakes the never-reused sentinel for an immediate reuse, a batched
 analytical kernel that collapses the ``t_m`` broadcast axis onto its
 first value, a hashed-index batch mapping that drops the seed fold, a
 bicameral routing mask with the wrong half-open-interval side, a
-birthday-paradox expectation with an off-by-one exponent) and, for
+birthday-paradox expectation with an off-by-one exponent, an LRU that
+stops refreshing recency on hits in every engine at once, a stack
+distance test that counts a distance equal to the capacity as a shadow
+hit) and, for
 each, temporarily monkey-patches the fault in, re-runs the oracle
 sweep, and records which oracles noticed.  A mutation nobody catches is
 a *hole* in the verification net and fails the run.
@@ -299,6 +302,44 @@ def _collision_exponent_off_by_one():
         yield
 
 
+@contextmanager
+def _lru_refresh_dropped():
+    from repro import kernels
+    from repro.cache.replacement import LRUPolicy
+
+    original = kernels.replay_assoc
+
+    def bad_replay_assoc(lines, sets, writes, num_ways, write_allocate, lru,
+                         tick, tags, stamps, dirty, hits_out):
+        # hits no longer restamp their way: the kernel's LRU is FIFO
+        return original(lines, sets, writes, num_ways, write_allocate,
+                        False, tick, tags, stamps, dirty, hits_out)
+
+    def bad_on_hit(self, resident, line):
+        # ... and so is the scalar policy's: a hit leaves the order alone
+        pass
+
+    with _patched(kernels, "replay_assoc", bad_replay_assoc), \
+            _patched(LRUPolicy, "on_hit", bad_on_hit):
+        yield
+
+
+@contextmanager
+def _stack_capacity_off_by_one():
+    from repro import kernels
+
+    original = kernels.stack_hits
+
+    def bad_stack_hits(lines, recent, capacity, cold_out=None):
+        # the distance test says <= capacity instead of < capacity; the
+        # shadow handed to the next batch stays right
+        hits, _ = original(lines, recent, capacity + 1, cold_out)
+        return hits, original(lines, recent, capacity)[1]
+
+    with _patched(kernels, "stack_hits", bad_stack_hits):
+        yield
+
+
 MUTATIONS: dict[str, Mutation] = {
     m.name: m
     for m in (
@@ -374,6 +415,18 @@ MUTATIONS: dict[str, Mutation] = {
             "to B instead of B - 1, counting self-collisions",
             ("cache-zoo",),
             _collision_exponent_off_by_one),
+        Mutation(
+            "lru-refresh-dropped",
+            "LRU hits stop refreshing recency in both LRUPolicy.on_hit and "
+            "the replay_assoc kernel, so every engine replays FIFO",
+            ("lru-stack",),
+            _lru_refresh_dropped),
+        Mutation(
+            "stack-capacity-off-by-one",
+            "the stack-distance kernel counts a distance equal to the "
+            "shadow's capacity as a shadow hit (conflict, not capacity)",
+            ("cache-batch", "kernel-backend"),
+            _stack_capacity_off_by_one),
     )
 }
 

@@ -32,6 +32,12 @@ geometry law):
   it mirrors, element-wise over grids that always batch several
   distinct ``t_m`` values per call so broadcast-collapse faults cannot
   hide behind a uniform axis.
+* ``lru-stack`` — an independent LRU witness: Mattson stack distances
+  (:func:`repro.kernels.stack_hits` on both providers, per set of a
+  stable sort by set) against the hit bitmaps of direct, prime, hashed
+  and 2/4-way LRU caches.  Every other cache oracle compares two
+  transliterations of one state machine; this one uses a different
+  algorithm, so a misconception shared by the engines still shows.
 * ``cache-zoo`` — the zoo organisations (docs/cache-zoo.md):
   bicameral batched routing vs the scalar ``set_of`` at exact range
   boundaries, hashed-index batch mapping vs the seeded scalar hash,
@@ -64,6 +70,7 @@ from repro.analytical.set_assoc import SetAssociativeModel
 from repro.cache import (
     DirectMappedCache,
     FullyAssociativeCache,
+    HashedIndexCache,
     MissKind,
     PrimeMappedCache,
     SetAssociativeCache,
@@ -130,9 +137,15 @@ def _make_case_cache(config: dict):
         return PrimeMappedCache(
             c=config["c"], line_size_words=line_size,
             classify_misses=classify, write_allocate=write_allocate)
-    if kind == "set2":
+    if kind in ("set2", "set4"):
+        ways = int(kind[-1])
         return SetAssociativeCache(
-            num_sets=config["lines"] // 2, num_ways=2,
+            num_sets=config["lines"] // ways, num_ways=ways,
+            line_size_words=line_size, classify_misses=classify,
+            write_allocate=write_allocate)
+    if kind == "hashed":
+        return HashedIndexCache(
+            num_sets=config["lines"], seed=config["seed"],
             line_size_words=line_size, classify_misses=classify,
             write_allocate=write_allocate)
     if kind == "full":
@@ -168,17 +181,31 @@ def _case_trace(config: dict) -> tuple[list[int], list[bool] | None]:
     return addresses, [rng.random() < write_frac for _ in addresses]
 
 
+#: A cyclic sweep of 33 lines through a 32-line fully-associative LRU
+#: cache: from the second sweep on, every reference misses at a stack
+#: distance of exactly the capacity, a capacity miss that an off-by-one
+#: in the shadow's distance test would call a conflict.
+_CAPACITY_PLUS_ONE_SWEEP = {
+    "cache": "full", "c": 5, "lines": 32, "line_size": 1,
+    "classify": True, "write_allocate": True, "pattern": "strided",
+    "length": 33, "stride": 1, "sweeps": 3, "span": 64,
+    "write_frac": 0.0, "seed": 0,
+}
+
+
 def _cache_batch_cases(mode: str, rng: random.Random) -> list[dict]:
     rounds = _case_counts(mode, 3, 12)
     # pinned: a dense reused sweep over a small prime cache, so any fold
     # fault in the batched set mapping diverges from the scalar path
-    # regardless of what the random grid draws
+    # regardless of what the random grid draws; and the capacity + 1
+    # sweep, so the batched miss labels meet a distance equal to the
+    # shadow's capacity
     cases = [{
         "cache": "prime", "c": 5, "lines": 32, "line_size": 1,
         "classify": True, "write_allocate": True, "pattern": "strided",
         "length": 64, "stride": 1, "sweeps": 2, "span": 64,
         "write_frac": 0.0, "seed": 0,
-    }]
+    }, dict(_CAPACITY_PLUS_ONE_SWEEP)]
     for _ in range(rounds):
         for kind in _CACHE_KINDS:
             pattern = rng.choice(("strided", "random", "multistride"))
@@ -868,12 +895,15 @@ def _kernel_backend_cases(mode: str, rng: random.Random) -> list[dict]:
     # sentinel pins the wrong lines every run; (c) a prime CC machine on
     # the batched timing path; (d) an MM machine on prime-interleaved
     # banks and a CC machine on skewed ones, so the timing kernels also
-    # see banks that are not the address's low bits.
+    # see banks that are not the address's low bits; (e) the capacity + 1
+    # sweep of cache-batch, whose batched miss labels meet a stack
+    # distance equal to the shadow's capacity.
     cases = [
         {"kind": "replay", "cache": "direct", "c": 5, "lines": 32,
          "line_size": 1, "classify": False, "write_allocate": True,
          "pattern": "strided", "length": 64, "stride": 3, "sweeps": 2,
          "span": 64, "write_frac": 0.25, "seed": 0},
+        {"kind": "replay", **_CAPACITY_PLUS_ONE_SWEEP},
         {"kind": "belady", "total_lines": 16, "num_sets": 4,
          "line_size": 1, "pattern": "random", "length": 256,
          "span": 128, "write_frac": 0.25, "stride": 1, "sweeps": 1,
@@ -954,9 +984,8 @@ def _check_kernel_replay(config: dict) -> list[Divergence]:
     addresses, writes = _case_trace(config)
     address_arr = np.asarray(addresses, dtype=np.int64)
     write_arr = None if writes is None else np.asarray(writes, dtype=bool)
-    # with a classifier the kind output keeps both backends on the state
-    # machine, which is still a valid differential; classifier-free cases
-    # run the kernels
+    # the scalar backend labels misses per access, the compiled one with
+    # a stack-distance pass after the residency kernels
     want_kinds = config["classify"]
     results = {}
     for backend in _BACKENDS:
@@ -1617,6 +1646,85 @@ def _check_zoo(config: dict) -> list[Divergence]:
 
 
 # ---------------------------------------------------------------------------
+# lru-stack: Mattson stack distances vs the LRU cache engines
+# ---------------------------------------------------------------------------
+
+_LRU_STACK_KINDS = ("direct", "prime", "hashed", "set2", "set4")
+
+
+def _lru_stack_cases(mode: str, rng: random.Random) -> list[dict]:
+    rounds = _case_counts(mode, 2, 8)
+    # pinned: random references over a span a little larger than a small
+    # 2-way cache, so sets overflow while lines are still being reused
+    # and an LRU that stopped refreshing on hits (FIFO) misses where the
+    # witness hits
+    cases = [{
+        "cache": "set2", "c": 5, "lines": 32, "line_size": 1,
+        "classify": False, "write_allocate": True, "pattern": "random",
+        "length": 256, "stride": 1, "sweeps": 1, "span": 48,
+        "write_frac": 0.0, "seed": 0,
+    }]
+    for _ in range(rounds):
+        for kind in _LRU_STACK_KINDS:
+            cases.append({
+                "cache": kind,
+                "c": rng.choice((5, 7)),
+                "lines": rng.choice((32, 128)),
+                "line_size": rng.choice((1, 4)),
+                "classify": rng.random() < 0.5,
+                "write_allocate": True,
+                "pattern": rng.choice(("strided", "random", "multistride")),
+                "length": rng.choice((64, 256)),
+                "stride": rng.randint(1, 200),
+                "sweeps": rng.randint(2, 3),
+                "span": rng.choice((64, 256, 1024)),
+                "write_frac": 0.0,
+                "seed": rng.randrange(1 << 30),
+            })
+    return cases
+
+
+def _stack_providers() -> list:
+    """Every kernel provider this host can run: the pure-Python one, and
+    generated C when it builds."""
+    from repro.kernels import cext, reference
+
+    compiled = cext.load()
+    return [reference] if compiled is None else [reference, compiled]
+
+
+def _check_lru_stack(config: dict) -> list[Divergence]:
+    addresses, _ = _case_trace(config)
+    cache = _make_case_cache(config)
+    lines = [cache.line_of(address) for address in addresses]
+    # an LRU set is an LRU stack of ``ways`` lines over the references
+    # that map to it: group them by the scalar index function, in order
+    sets = np.asarray([cache.set_of(line) for line in lines], dtype=np.int64)
+    order = np.argsort(sets, kind="stable")
+    by_set = np.asarray(lines, dtype=np.int64)[order]
+    groups = np.split(np.arange(len(lines)),
+                      np.flatnonzero(np.diff(sets[order])) + 1)
+    batch = cache.access_many(np.asarray(addresses, dtype=np.int64),
+                              return_hits=True)
+    engine = batch.hits[order].tolist()
+    empty = np.empty(0, dtype=np.int64)
+    for provider in _stack_providers():
+        witness = np.empty(len(lines), dtype=bool)
+        for group in groups:
+            witness[group] = provider.stack_hits(
+                by_set[group], empty, cache.num_ways, None)[0]
+        for i, (expected, actual) in enumerate(zip(witness.tolist(),
+                                                   engine)):
+            if expected != actual:
+                return [(f"hits[{int(order[i])}]", expected, actual,
+                         f"Mattson stack distance < {cache.num_ways} "
+                         f"({provider.name} stack_hits) vs "
+                         f"Cache.access_many (repro/cache/, "
+                         f"repro/kernels/)")]
+    return []
+
+
+# ---------------------------------------------------------------------------
 # registry
 # ---------------------------------------------------------------------------
 
@@ -1659,6 +1767,11 @@ ORACLES: dict[str, Oracle] = {
             "vectorised surrogate engine vs the scalar analytical stack, "
             "element-wise over multi-t_m grids",
             _analytical_batched_cases, _check_analytical_batched),
+        Oracle(
+            "lru-stack",
+            "Mattson stack distances vs the LRU hit bitmaps of direct, "
+            "prime, hashed and set-associative caches",
+            _lru_stack_cases, _check_lru_stack),
         Oracle(
             "cache-zoo",
             "bicameral routing, hashed indexing, collision laws and L1/L2 "

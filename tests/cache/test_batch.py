@@ -15,14 +15,24 @@ from hypothesis import strategies as st
 
 from repro.cache import (
     MISS_KIND_CODES,
+    BicameralCache,
     ColumnAssociativeCache,
     DirectMappedCache,
     FullyAssociativeCache,
+    HashedIndexCache,
     MissKind,
     PrimeMappedCache,
     SetAssociativeCache,
     XorMappedCache,
 )
+from repro.cache.set_assoc import ASSOC_SCAN_WAYS
+
+
+def _bicameral(**kw):
+    cache = BicameralCache(scalar_sets=4, vector_c=3, **kw)
+    cache.mark_vector(128, 256)
+    return cache
+
 
 FACTORIES = {
     "direct": lambda **kw: DirectMappedCache(num_lines=8, **kw),
@@ -33,7 +43,13 @@ FACTORIES = {
     "fifo-four-way": lambda **kw: SetAssociativeCache(
         num_sets=2, num_ways=4, policy="fifo", **kw
     ),
+    "four-way": lambda **kw: SetAssociativeCache(num_sets=2, num_ways=4, **kw),
     "fully": lambda **kw: FullyAssociativeCache(num_lines=5, **kw),
+    "fully-wide": lambda **kw: FullyAssociativeCache(
+        num_lines=6, line_size_words=4, **kw
+    ),
+    "hashed": lambda **kw: HashedIndexCache(num_sets=8, seed=5, **kw),
+    "bicameral": _bicameral,
     "prime": lambda **kw: PrimeMappedCache(c=5, **kw),
     "prime-wide": lambda **kw: PrimeMappedCache(c=3, line_size_words=2, **kw),
     "xor": lambda **kw: XorMappedCache(num_lines=16, **kw),
@@ -97,11 +113,18 @@ def test_access_many_matches_scalar_loop(config, stream):
     assert scalar.resident_lines() == batched.resident_lines()
 
 
-@settings(max_examples=60, deadline=None)
-@given(configs, streams, streams)
-def test_mixed_scalar_then_batched_equals_scalar(config, head, tail):
-    """A batch picks up exactly where scalar accesses left off: running
-    the head scalar and the tail batched must equal one scalar run."""
+def _kinds(results):
+    return [0 if r.miss_kind is None else MISS_KIND_CODES[r.miss_kind]
+            for r in results]
+
+
+@settings(max_examples=80, deadline=None)
+@given(configs, streams, streams, streams)
+def test_mixed_scalar_then_batched_equals_scalar(config, first, middle, last):
+    """Batches pick up exactly where scalar accesses left off and the
+    other way round: batched, scalar and batched segments on one cache
+    must equal one scalar run, per access (hits and three-C kinds),
+    per statistic and in the residency and shadow state left behind."""
     name, classify, write_allocate = config
     factory = FACTORIES[name]
     reference = factory(
@@ -109,24 +132,82 @@ def test_mixed_scalar_then_batched_equals_scalar(config, head, tail):
     )
     mixed = factory(classify_misses=classify, write_allocate=write_allocate)
 
-    for address, write in head + tail:
-        reference.access(address, write=write)
-    for address, write in head:
-        mixed.access(address, write=write)
-    mixed.access_many(
-        np.asarray([address for address, _ in tail], dtype=np.int64),
-        np.asarray([write for _, write in tail], dtype=bool),
-    )
+    expected = [reference.access(address, write=write)
+                for address, write in first + middle + last]
 
+    def batched(segment):
+        batch = mixed.access_many(
+            np.asarray([address for address, _ in segment], dtype=np.int64),
+            np.asarray([write for _, write in segment], dtype=bool),
+            return_hits=True, return_kinds=True,
+        )
+        return batch.hits.tolist(), batch.miss_kinds.tolist()
+
+    hits, kinds = batched(first)
+    scalar = [mixed.access(address, write=write) for address, write in middle]
+    hits += [r.hit for r in scalar]
+    kinds += _kinds(scalar)
+    last_hits, last_kinds = batched(last)
+
+    assert hits + last_hits == [r.hit for r in expected]
+    assert kinds + last_kinds == _kinds(expected)
     assert _stats_tuple(reference.stats) == _stats_tuple(mixed.stats)
     assert reference.resident_lines() == mixed.resident_lines()
     # the state left behind is equivalent: replaying more scalar accesses
     # on both produces the same outcomes
-    for address, write in head:
-        assert (
-            reference.access(address, write=write).hit
-            == mixed.access(address, write=write).hit
-        )
+    for address, write in first + middle:
+        ref, got = (reference.access(address, write=write),
+                    mixed.access(address, write=write))
+        assert (ref.hit, ref.miss_kind) == (got.hit, got.miss_kind)
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: FullyAssociativeCache(num_lines=4),
+    lambda: SetAssociativeCache(num_sets=2, num_ways=4),
+], ids=["fully", "four-way"])
+def test_scalar_hits_between_batches_reorder_nway_recency(factory):
+    """A scalar hit between two batches changes an N-way set's LRU
+    order without filling anything; the next batch must evict by the
+    new order (the batched residency state is rebuilt, not reused)."""
+    scalar, mixed = factory(), factory()
+    warm = np.array([0, 2, 4, 6], dtype=np.int64)   # one set, four ways
+    for address in warm.tolist():
+        scalar.access(address)
+    mixed.access_many(warm)
+    for cache in (scalar, mixed):
+        assert cache.access(0).hit                  # 0 becomes MRU
+    for address in (8, 0):                          # 8 evicts 2, not 0
+        scalar.access(address)
+    batch = mixed.access_many(np.array([8, 0], dtype=np.int64),
+                              return_hits=True)
+    assert batch.hits.tolist() == [False, True]
+    assert scalar.resident_lines() == mixed.resident_lines()
+
+
+@pytest.mark.parametrize("num_lines", [ASSOC_SCAN_WAYS, 2 * ASSOC_SCAN_WAYS])
+def test_large_fully_associative_matches_on_both_backends(num_lines):
+    """A fully-associative cache at and past the way-scan limit (kernel
+    and dict-loop residency) gives the scalar backend's statistics, hits
+    and three-C kinds, with stores and no-allocate writes mixed in."""
+    rng = np.random.default_rng(num_lines)
+    window = num_lines + num_lines // 4
+    cyclic = (np.arange(3 * num_lines, dtype=np.int64) * 8) % (8 * window)
+    scattered = rng.integers(0, 16 * window, 2 * num_lines)
+    addresses = np.concatenate([cyclic, scattered, cyclic])
+    writes = rng.random(addresses.size) < 0.2
+    outcomes = {}
+    for backend in ("scalar", "compiled"):
+        for write_allocate in (True, False):
+            cache = FullyAssociativeCache(num_lines=num_lines,
+                                          write_allocate=write_allocate)
+            batch = cache.access_many(addresses, writes, return_hits=True,
+                                      return_kinds=True, backend=backend)
+            outcomes[backend, write_allocate] = (
+                _stats_tuple(cache.stats), batch.hits.tolist(),
+                batch.miss_kinds.tolist(), cache.resident_lines())
+    for write_allocate in (True, False):
+        assert (outcomes["compiled", write_allocate]
+                == outcomes["scalar", write_allocate])
 
 
 def test_read_only_batch_accepts_no_writes_argument():

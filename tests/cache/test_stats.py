@@ -1,8 +1,17 @@
 """Tests for cache statistics and the three-C miss classifier."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cache.stats import CacheStats, MissClassifier, MissKind
+from repro.cache import stats as stats_module
+from repro.cache.stats import (
+    MISS_KIND_CODES,
+    CacheStats,
+    MissClassifier,
+    MissKind,
+)
 
 
 class TestCacheStats:
@@ -75,3 +84,60 @@ class TestMissClassifier:
         clf.classify(0, real_hit=False)
         clf.reset()
         assert clf.classify(0, real_hit=False) is MissKind.COMPULSORY
+
+
+def _feed(draws):
+    """Lines with real-hit flags a cache could produce: a line can only
+    hit after it was fed once."""
+    fed, lines, hits = set(), [], []
+    for line, hit in draws:
+        lines.append(line)
+        hits.append(hit and line in fed)
+        fed.add(line)
+    return lines, hits
+
+
+feeds = st.lists(st.tuples(st.integers(0, 24), st.booleans()), max_size=80)
+
+
+class TestClassifyBatch:
+    """The batch form labels exactly what the per-access form labels,
+    across alternating segments and chunk boundaries."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 10), st.lists(feeds, min_size=1, max_size=4))
+    def test_alternating_forms_match_per_access(self, capacity, segments):
+        lines, hits = _feed([d for segment in segments for d in segment])
+        reference = MissClassifier(capacity)
+        expected = [reference.classify(line, hit)
+                    for line, hit in zip(lines, hits)]
+        expected = [0 if kind is None else MISS_KIND_CODES[kind]
+                    for kind in expected]
+        mixed = MissClassifier(capacity)
+        got, start = [], 0
+        for index, segment in enumerate(segments):
+            part = slice(start, start + len(segment))
+            start += len(segment)
+            if index % 2:
+                got += [0 if kind is None else MISS_KIND_CODES[kind]
+                        for kind in (mixed.classify(line, hit) for line, hit
+                                     in zip(lines[part], hits[part]))]
+            else:
+                got += mixed.classify_batch(
+                    np.array(lines[part], dtype=np.int64),
+                    np.array(hits[part], dtype=bool)).tolist()
+        assert got == expected
+
+    def test_chunks_carry_the_shadow_and_seen_lines(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        lines, hits = _feed(zip(rng.integers(0, 30, 400).tolist(),
+                                (rng.random(400) < 0.3).tolist()))
+        lines = np.array(lines, dtype=np.int64)
+        hits = np.array(hits, dtype=bool)
+        whole = MissClassifier(8).classify_batch(lines, hits)
+        monkeypatch.setattr(stats_module, "CLASSIFY_CHUNK", 7)
+        chunked = MissClassifier(8).classify_batch(lines, hits)
+        np.testing.assert_array_equal(whole, chunked)
+        kinds = np.bincount(whole, minlength=4)
+        assert kinds[MISS_KIND_CODES[MissKind.COMPULSORY]] == 30
+        assert kinds[MISS_KIND_CODES[MissKind.CAPACITY]] > 0

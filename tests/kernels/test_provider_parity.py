@@ -159,6 +159,40 @@ def test_replay_assoc(kind, batches, write_allocate, lru, data):
         tags, stamps, dirty = args[7], args[8], args[9]
 
 
+#: the shadow a stack_hits batch starts from: none, fewer distinct lines
+#: than the capacity, or a full one
+SHADOWS = ("empty", "partial", "full")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.sampled_from(SHADOWS),
+       st.lists(st.lists(st.integers(0, 40), max_size=120), min_size=2,
+                max_size=3),
+       st.permutations(list(range(41))), st.booleans())
+def test_stack_hits(capacity, shadow, batches, lines_by_age, want_cold):
+    """Both providers from the same warm shadow: equal hits, cold flags
+    and shadows after each batch (capacity 1, repeated lines and batches
+    longer than the capacity included)."""
+    size = {"empty": 0, "partial": capacity // 2, "full": capacity}[shadow]
+    recent = np.array(lines_by_age[:size], dtype=np.int64)
+    for batch in batches:
+        lines = np.array(batch, dtype=np.int64)
+        outcomes = []
+        for provider in (C_PROVIDER, reference):
+            cold = (np.full(lines.size, 7, dtype=np.uint8) if want_cold
+                    else None)
+            hits, after = provider.stack_hits(lines, recent.copy(),
+                                              capacity, cold)
+            outcomes.append((hits, after, cold))
+        (c_hits, c_after, c_cold), (py_hits, py_after, py_cold) = outcomes
+        assert c_hits.dtype == py_hits.dtype == np.bool_
+        np.testing.assert_array_equal(c_hits, py_hits)
+        np.testing.assert_array_equal(c_after, py_after)
+        if want_cold:
+            np.testing.assert_array_equal(c_cold, py_cold)
+        recent = c_after
+
+
 def _bank_state(scheme):
     return (np.zeros(scheme.num_banks, dtype=np.int64),
             np.zeros(scheme.num_banks, dtype=np.int64))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.orchestrate.job import Job
 from repro.serve.protocol import ProtocolError, normalise
+from repro.serve.queries import TRACE_MAX_C, TRACE_REF_BUDGET
 
 REGISTRY = {
     "leaf": Job(name="leaf", fn="tests.orchestrate._jobfns:leaf",
@@ -95,6 +96,42 @@ class TestSyntheticRequests:
     def test_non_object_config_is_rejected(self):
         with pytest.raises(ProtocolError, match="JSON object"):
             normalise({"vcm": [1, 2]}, REGISTRY)
+
+
+class TestTraceBounds:
+    """A trace body is typed and bounded at normalisation, so a bad one
+    is a 400 before anything is scheduled (never a failing job)."""
+
+    @pytest.mark.parametrize("params, message", [
+        ({"length": "x"}, "length must be an integer"),
+        ({"c": 3.5}, "c must be an integer"),
+        ({"sweeps": True}, "sweeps must be an integer"),
+        ({"c": 29, "organisation": "direct"}, "c must be in"),
+        ({"c": 40}, "c must be in"),
+        ({"c": 0, "organisation": "assoc"}, "c must be in"),
+        ({"c": 12}, "Mersenne prime exponent"),
+        ({"length": TRACE_REF_BUDGET, "sweeps": 2}, "exceeds the budget"),
+        ({"length": 0}, "must be positive"),
+        ({"base": 5, "stride": -8, "length": 4}, "addresses must lie"),
+        ({"base": 1 << 62}, "addresses must lie"),
+        ({"t_m": -4}, "non-negative"),
+        ({"organisation": "belady"}, "organisation must be one of"),
+        ({"kind": "random"}, "unsupported trace kind"),
+    ])
+    def test_out_of_range_values_are_rejected(self, params, message):
+        with pytest.raises(ProtocolError, match=message):
+            normalise({"trace": params}, REGISTRY)
+
+    @pytest.mark.parametrize("params", [
+        {"length": TRACE_REF_BUDGET, "c": TRACE_MAX_C,
+         "organisation": "direct"},
+        {"length": 1 << 20, "sweeps": 4, "c": 19, "organisation": "prime"},
+        {"c": 1, "organisation": "assoc", "stride": -1, "base": 63,
+         "length": 64, "t_m": 0},
+    ])
+    def test_values_at_the_bounds_are_accepted(self, params):
+        (name,) = normalise({"trace": params}, REGISTRY).names
+        assert name.startswith("trace@")
 
 
 class TestShapes:

@@ -15,6 +15,7 @@ import pytest
 from repro.orchestrate.job import Job
 from repro.orchestrate.store import ResultStore
 from repro.serve import ServeClient, ServeError, serve_in_thread
+from repro.serve.queries import TRACE_REF_BUDGET
 
 
 def tiny_registry(tally_path, slow_path) -> dict[str, Job]:
@@ -263,6 +264,34 @@ class TestVcmAndTrace:
         result = response["results"][0]["result"]
         assert result["accesses"] == 128
         assert 0.0 <= result["hit_ratio"] <= 1.0
+
+
+class TestTraceBounds:
+    """Out-of-range trace bodies are answered 400 at normalisation:
+    nothing is scheduled and the pool keeps serving."""
+
+    BODIES = (
+        {"trace": {"length": "x"}},
+        {"trace": {"c": 3.5}},
+        {"trace": {"c": 29, "organisation": "direct"}},
+        {"trace": {"c": 40}},
+        {"trace": {"length": TRACE_REF_BUDGET, "sweeps": 2}},
+        {"trace": {"stride": -1, "length": 8}},
+    )
+
+    def test_rejected_before_scheduling(self, client):
+        before = client.stats()
+        for body in self.BODIES:
+            with pytest.raises(ServeError) as excinfo:
+                client.query(body)
+            assert excinfo.value.status == 400, body
+        after = client.stats()
+        assert after["computed"] == before["computed"]
+        assert after["worker_deaths"] == 0
+        response = client.query({"trace": {"stride": 3, "length": 32,
+                                           "c": 5}})
+        assert response["results"][0]["status"] == "computed"
+        assert response["results"][0]["result"]["accesses"] == 32
 
 
 class TestShutdown:

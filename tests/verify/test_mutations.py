@@ -10,7 +10,9 @@ class TestCatalogue:
         # compiled-kernel faults the kernel-backend oracle must catch,
         # the broadcast-collapse fault the batched surrogate invites,
         # plus the three cache-zoo faults (seed fold, routing boundary,
-        # collision exponent)
+        # collision exponent), an LRU that replays FIFO in every engine
+        # (only the independent lru-stack witness sees it) and an
+        # off-by-one in the stack-distance test behind batched miss labels
         assert set(MUTATIONS) == {
             "fold-modulus-off-by-one",
             "dropped-bank-busy-stall",
@@ -24,6 +26,8 @@ class TestCatalogue:
             "hashed-seed-fold-dropped",
             "bicameral-boundary-misrouted",
             "collision-exponent-off-by-one",
+            "lru-refresh-dropped",
+            "stack-capacity-off-by-one",
         }
 
     def test_expected_oracles_exist(self):
@@ -65,6 +69,14 @@ class TestSelfCheck:
             kernels.op_timing,
             congruence.solve_linear_congruence,
         )
+
+    def test_shared_lru_fault_needs_the_independent_witness(self):
+        # the scalar and compiled engines both turn FIFO, so the
+        # differential oracles agree with each other; only Mattson stack
+        # distances disagree with both
+        [outcome] = run_selfcheck(seed=0, mode="quick",
+                                  mutations=["lru-refresh-dropped"])
+        assert outcome.caught_by == ["lru-stack"]
 
     def test_single_mutation_selection(self):
         [outcome] = run_selfcheck(seed=0, mode="quick",

@@ -8,7 +8,7 @@ from repro.verify import ORACLES, DifferentialRunner, default_oracles
 
 
 class TestRegistry:
-    def test_the_nine_oracles_are_registered(self):
+    def test_the_ten_oracles_are_registered(self):
         assert set(ORACLES) == {
             "cache-batch",
             "machine-timing",
@@ -19,6 +19,7 @@ class TestRegistry:
             "kernel-backend",
             "analytical-batched",
             "cache-zoo",
+            "lru-stack",
         }
 
     def test_names_and_descriptions(self):
