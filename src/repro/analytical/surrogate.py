@@ -105,7 +105,14 @@ def canonical_point(point: Mapping[str, Any]) -> dict[str, Any]:
 
     Returns a plain dict with exactly the :data:`POINT_DEFAULTS` keys —
     the canonical form the serve layer digests, so permuted or
-    duplicated points normalise to identical batch members.
+    duplicated points normalise to identical batch members.  Raises
+    ``ValueError`` for a point the scalar models would refuse or divide
+    by zero on: beyond the types, ``banks`` must be a power of two and
+    ``banks`` and ``cache_lines`` at least 2 (the models divide by
+    ``M - 1`` and ``C - 1``), ``reuse_factor`` at least 1, the three
+    probabilities in ``[0, 1]``, a point with double-stream accesses
+    needs a second stride, and an ``assoc`` point's ``ways`` must divide
+    ``cache_lines`` into a power-of-two number of sets.
     """
     unknown = set(point) - set(POINT_DEFAULTS)
     if unknown:
@@ -123,6 +130,23 @@ def canonical_point(point: Mapping[str, Any]) -> dict[str, Any]:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"{key} must be a number, got {value!r}")
         merged[key] = float(value)
+    banks, lines, ways = merged["banks"], merged["cache_lines"], merged["ways"]
+    if banks < 2 or banks & (banks - 1):
+        raise ValueError(f"banks must be a power of two of at least 2, "
+                         f"got {banks}")
+    if lines < 2:
+        raise ValueError(f"cache_lines must be at least 2, got {lines}")
+    if merged["mapping"] == "assoc" and (
+            lines % ways or (lines // ways) & (lines // ways - 1)):
+        raise ValueError(f"assoc ways must divide cache_lines into a "
+                         f"power-of-two number of sets, got {ways} ways "
+                         f"of {lines} lines")
+    if not merged["reuse_factor"] >= 1:
+        raise ValueError(f"reuse_factor must be at least 1, "
+                         f"got {merged['reuse_factor']}")
+    for key in ("p_ds", "p_stride1_s1", "p_stride1_s2"):
+        if not 0.0 <= merged[key] <= 1.0:
+            raise ValueError(f"{key} must be in [0, 1], got {merged[key]}")
     for key in ("s1", "s2"):
         value = merged[key]
         ok = (value is None or value == "random"
@@ -130,6 +154,9 @@ def canonical_point(point: Mapping[str, Any]) -> dict[str, Any]:
         if not ok:
             raise ValueError(f"{key} must be 'random', an int stride or "
                              f"null, got {value!r}")
+    if merged["p_ds"] > 0 and merged["s2"] is None:
+        raise ValueError("double-stream accesses (p_ds > 0) need a "
+                         "second stride s2")
     size = merged["problem_size"]
     if size is not None and (not isinstance(size, int)
                              or isinstance(size, bool) or size < 1):

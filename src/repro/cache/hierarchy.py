@@ -19,25 +19,49 @@ test and the ``cache-zoo`` oracle sweep the invariant
 ``l1.resident_lines() <= l2.resident_lines()`` after arbitrary access
 mixes.
 
-The class customises the scalar :meth:`access` path (per-access level
-routing cannot be expressed as a single set-index function), so the
-generic ``access_many`` machinery automatically replays batches
-through it — bit-for-bit by construction, which the equivalence suite
-still pins.
+The hierarchy is a regular organisation: its residency hooks route each
+access through both levels (L1 probe, then L2 probe and promotion, or a
+fill of L2 then L1), so the generic :meth:`~repro.cache.base.Cache.access`
+is its scalar reference.  Batches replay on
+:func:`repro.kernels.replay_two_level`, one pass through both levels
+over the per-slot mirrors the two :class:`SetAssociativeCache` levels
+keep across batches.  A level with random replacement, or with more
+ways than :data:`~repro.cache.set_assoc.ASSOC_SCAN_WAYS` (generated C)
+or :data:`PYTHON_FORM_WAYS` (the pure-Python provider), sends batches
+through the hook loop instead.  The per-level counters ``l1_hits`` and
+``l2_hits`` partition ``stats.hits``; the CC machine reads the change
+in ``l2_hits`` to price an access that L2 served.
 
 Write semantics match :class:`repro.cache.base.Cache`: a write miss on
 a no-allocate hierarchy bypasses both levels and the classifier
-entirely.  Dirtiness lives in L1 while a line is L1-resident and
-migrates to L2 on L1 eviction, so a line is never dirty in both levels.
+entirely.  A store dirties the line's L1 copy; the dirt migrates to the
+L2 copy when L1 evicts the line.
 """
 
 from __future__ import annotations
 
-from repro.cache.base import AccessResult, Cache
-from repro.cache.set_assoc import SetAssociativeCache
-from repro.cache.stats import MissKind
+import numpy as np
 
-__all__ = ["TwoLevelCache"]
+from repro import kernels
+from repro.cache.base import Cache
+from repro.cache.replacement import FIFOPolicy, LRUPolicy
+from repro.cache.set_assoc import ASSOC_SCAN_WAYS, SetAssociativeCache
+
+__all__ = ["PYTHON_FORM_WAYS", "TwoLevelCache"]
+
+#: Most ways a level may have for batches to replay through the
+#: pure-Python form of :func:`repro.kernels.replay_two_level` on a host
+#: without generated C; past it the hook loop, whose fills do not scan the
+#: set, is faster.  Measured on a 2-vCPU x86-64 host, provider
+#: ``reference``: random and cyclic stride-3 traces over twice the L2
+#: capacity in 4 K-reference batches, unclassified, k refs/s of the
+#: Python form against the hook loop, four alternating runs each:
+#: 1+1 ways 805/1230/1394/911 vs 288/492/468/535; 2+4 ways
+#: 753/624/784/774 vs 518/422/576/572; 4+8 ways 741/668/675/734 vs
+#: 573/590/591/577; 8+8 ways 677/452/561/572 vs 441/533/423/462;
+#: 8+16 ways 483/486/421/338 vs 383/542/410/425; 16+16 ways
+#: 367/330/348/331 vs 478/370/390/434.
+PYTHON_FORM_WAYS = 8
 
 
 class TwoLevelCache(Cache):
@@ -55,8 +79,8 @@ class TwoLevelCache(Cache):
         ...                       classify_misses=False)
         >>> cache.access(0).hit, cache.access(2).hit
         (False, False)
-        >>> cache.access(0).hit, cache.last_level   # evicted from L1 only
-        (True, 2)
+        >>> cache.access(0).hit   # evicted from L1 only, served by L2
+        True
         >>> cache.l1_hits, cache.l2_hits
         (0, 1)
     """
@@ -103,56 +127,46 @@ class TwoLevelCache(Cache):
         #: per-level service counters (l1_hits + l2_hits == stats.hits)
         self.l1_hits = 0
         self.l2_hits = 0
-        #: level that served the most recent access: 1, 2, or 0 (memory);
-        #: the CC machine reads it to compose the miss penalty
-        self.last_level = 0
 
     def set_of(self, line_address: int) -> int:
         """The L1 set index (the hierarchy's front door)."""
         return self.l1.set_of(line_address)
 
-    def access(self, word_address: int, *, write: bool = False) -> AccessResult:
-        line = self.line_of(word_address)
+    def _map_sets_batch(self, lines: np.ndarray) -> np.ndarray:
+        return self.l1._map_sets_batch(lines)
+
+    # -- residency hooks: the generic ``access`` routes through both levels
+
+    def _lookup(self, line_address: int, set_index: int) -> bool:
+        if self.l1._lookup(line_address, set_index):
+            return True
+        return self.l2._lookup(line_address, self.l2.set_of(line_address))
+
+    def _touch(self, line_address: int, set_index: int) -> None:
+        """A hit: refresh L1, or refresh L2 and promote the line."""
         l1, l2 = self.l1, self.l2
-        s1 = l1.set_of(line)
-        allocate = not write or self.write_allocate
-        victim: int | None = None
-        writeback = False
-
-        if l1._lookup(line, s1):
-            self.last_level = 1
+        if l1._lookup(line_address, set_index):
             self.l1_hits += 1
-            hit = True
-            l1._touch(line, s1)
-            if write:
-                l1._mark_dirty(line, s1)
+            l1._touch(line_address, set_index)
         else:
-            s2 = l2.set_of(line)
-            if l2._lookup(line, s2):
-                self.last_level = 2
-                self.l2_hits += 1
-                hit = True
-                l2._touch(line, s2)
-                self._promote(line, s1, dirty=write)
-            else:
-                self.last_level = 0
-                hit = False
-                if allocate:
-                    v2, v2_dirty = l2._fill(line, s2, dirty=False)
-                    if v2 is not None:
-                        # inclusion: the L2 victim leaves the hierarchy,
-                        # taking any L1 copy (and its dirtiness) with it
-                        l1_copy_dirty = l1.invalidate_line(v2)
-                        victim = v2
-                        writeback = v2_dirty or l1_copy_dirty
-                        self.stats.evictions += 1
-                    self._promote(line, s1, dirty=write)
+            self.l2_hits += 1
+            l2._touch(line_address, l2.set_of(line_address))
+            self._promote(line_address, set_index, dirty=False)
 
-        kind: MissKind | None = None
-        if self._classifier is not None and (hit or allocate):
-            kind = self._classifier.classify(line, hit)
-        self.stats.record(hit, write, kind)
-        return AccessResult(hit, line, s1, victim, kind, writeback)
+    def _mark_dirty(self, line_address: int, set_index: int) -> None:
+        # a hit has just left the line in L1
+        self.l1._mark_dirty(line_address, set_index)
+
+    def _fill(self, line_address: int, set_index: int, dirty: bool):
+        """A full miss: fill L2, then promote into L1."""
+        victim, victim_dirty = self.l2._fill(
+            line_address, self.l2.set_of(line_address), dirty=False)
+        if victim is not None:
+            # inclusion: the L2 victim leaves the hierarchy, taking any L1
+            # copy (and its dirtiness) with it
+            victim_dirty |= self.l1.invalidate_line(victim)
+        self._promote(line_address, set_index, dirty=dirty)
+        return victim, victim_dirty
 
     def _promote(self, line: int, s1: int, *, dirty: bool) -> None:
         """Install the (L2-resident) line into L1; a dirty L1 victim's
@@ -163,26 +177,27 @@ class TwoLevelCache(Cache):
             if self.l2._lookup(v1, sv):
                 self.l2._mark_dirty(v1, sv)
 
-    # -- residency hooks -----------------------------------------------------
-    # The scalar path above never uses these (it routes per level), but
-    # the generic ``contains`` probe does, and the ABC requires them.
-
-    def _lookup(self, line_address: int, set_index: int) -> bool:
-        if self.l1._lookup(line_address, set_index):
-            return True
-        return self.l2._lookup(line_address, self.l2.set_of(line_address))
-
-    def _touch(self, line_address: int, set_index: int) -> None:
-        raise NotImplementedError(
-            "TwoLevelCache routes per level inside access()")
-
-    def _fill(self, line_address: int, set_index: int, dirty: bool):
-        raise NotImplementedError(
-            "TwoLevelCache routes per level inside access()")
-
-    def _mark_dirty(self, line_address: int, set_index: int) -> None:
-        raise NotImplementedError(
-            "TwoLevelCache routes per level inside access()")
+    def _replay_compiled(self, lines, sets, writes, want_hits: bool):
+        max_ways = (ASSOC_SCAN_WAYS if kernels.has_compiled_provider()
+                    else PYTHON_FORM_WAYS)
+        levels = []
+        for level in (self.l1, self.l2):
+            lru = isinstance(level.policy, LRUPolicy)
+            if (level.num_ways > max_ways
+                    or not (lru or isinstance(level.policy, FIFOPolicy))):
+                return None
+            mirror = level._load_mirror()  # (re)sets the tick on a rebuild
+            levels.append((level.num_ways, lru, level._tick, mirror,
+                           level._mirror_stamps, level._mirror_dirty))
+        hits_arr = np.empty(lines.size, dtype=bool) if want_hits else None
+        h, m, e, l2_hits, self.l1._tick, self.l2._tick = (
+            kernels.replay_two_level(lines, sets, writes, self.write_allocate,
+                                     *levels, hits_arr))
+        if lines.size:
+            self.l1._dicts_stale = self.l2._dicts_stale = True
+        self.l1_hits += h - l2_hits
+        self.l2_hits += l2_hits
+        return h, m, e, hits_arr
 
     def resident_lines(self) -> set[int]:
         return self.l2.resident_lines() | self.l1.resident_lines()
@@ -195,7 +210,6 @@ class TwoLevelCache(Cache):
         super().reset()
         self.l1_hits = 0
         self.l2_hits = 0
-        self.last_level = 0
 
     def describe(self) -> str:
         return (

@@ -37,8 +37,9 @@ associativity:
 * **Batched replay keeps a mirror of its own.**  The compiled kernels
   advance flattened numpy arrays across batches (per ``[set, way]``
   slot: resident line and dirty bit, plus a recency stamp in N-way
-  caches); the dicts and the mirror are each rebuilt from the other
-  only after the other side changed residency.
+  caches; a :class:`~repro.cache.hierarchy.TwoLevelCache` replays both
+  of its levels' mirrors in one pass); the dicts and the mirror are each
+  rebuilt from the other only after the other side changed residency.
 """
 
 from __future__ import annotations
@@ -220,14 +221,18 @@ class SetAssociativeCache(Cache):
             for set_index, ways, row in zip(
                 filled.tolist(), order.tolist(), grid[filled].tolist())
         }
-        # The kernel fills the lowest empty way and never empties one, so
-        # a freed way is still a hole exactly when it is still empty.
-        holes = {}
-        for set_index, heap in self._holes.items():
-            free = sorted(w for w in heap if grid[set_index, w] < 0)
-            if free:
-                holes[set_index] = free
-        self._holes = holes
+        # A hole is an empty way below its set's highest filled way (the
+        # kernels fill the lowest empty way, and a hierarchy's
+        # back-invalidation empties a way anywhere in a set); a sorted
+        # list is a valid heap.
+        occupied = grid[filled] >= 0
+        top = num_ways - 1 - np.argmax(occupied[:, ::-1], axis=1)
+        gaps = ~occupied & (np.arange(num_ways) < top[:, None])
+        rows = np.flatnonzero(gaps.any(axis=1))
+        self._holes = {
+            set_index: np.flatnonzero(gaps[row]).tolist()
+            for row, set_index in zip(rows.tolist(), filled[rows].tolist())
+        }
 
     def _replay_compiled(self, lines, sets, writes, want_hits: bool):
         lru = isinstance(self.policy, LRUPolicy)

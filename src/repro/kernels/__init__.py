@@ -1,7 +1,8 @@
 """Compiled kernels behind the ``backend`` knob.
 
 Every stateful hot loop in the simulator — the per-set residency update
-of :meth:`repro.cache.base.Cache.access_many` and the LRU stack distances
+of :meth:`repro.cache.base.Cache.access_many` (one level, or both levels
+of an inclusive hierarchy in one pass) and the LRU stack distances
 that label its misses, the MM/CC trace-timing loops, the vector
 machines' op-table address expansion and timing loop, and Belady OPT —
 has two engines:
@@ -46,6 +47,7 @@ __all__ = [
     "backend_info",
     "replay_oneway",
     "replay_assoc",
+    "replay_two_level",
     "stack_hits",
     "mm_timing",
     "cc_timing",
@@ -189,6 +191,50 @@ def replay_assoc(lines, sets, writes, num_ways, write_allocate, lru, tick,
         int(bool(write_allocate)), int(bool(lru)), int(tick),
         tags, stamps, _u8(dirty), _u8(hits_out),
     )
+
+
+def _level(ways, lru, tick, tags, stamps, dirty):
+    """One hierarchy level's kernel state, checked: ``tags`` holds a
+    power-of-two number of sets of ``ways`` slots, ``dirty`` one flag per
+    slot, and ``stamps`` one int64 per slot (``None`` for a one-way
+    level)."""
+    ways = int(ways)
+    tags = _state(tags)
+    num_sets = tags.size // ways if ways > 0 else 0
+    if (num_sets <= 0 or num_sets & (num_sets - 1)
+            or num_sets * ways != tags.size):
+        raise ValueError("a level needs a power-of-two number of sets "
+                         "of `ways` slots")
+    if stamps is not None or ways > 1:
+        stamps = _state(stamps, tags.size)
+    dirty = _u8(dirty)
+    if dirty is None or dirty.size != tags.size:
+        raise ValueError("a level needs one dirty flag per slot")
+    return ways, int(bool(lru)), int(tick), tags, stamps, dirty
+
+
+def replay_two_level(lines, sets, writes, write_allocate, l1, l2, hits_out):
+    """Inclusive L1/L2 replay (see :mod:`repro.kernels.reference`).
+
+    ``l1``/``l2`` are each ``(ways, lru, tick, tags, stamps, dirty)`` in
+    :func:`replay_assoc`'s layout, ``stamps`` ``None`` for a one-way
+    level; ``sets`` holds each line's L1 set.  Both levels must index by
+    power-of-two modulo (a line's set is ``line & (num_sets - 1)``): the
+    kernel maps an L2 victim to its L1 set, and a dirty L1 victim to its
+    L2 set, itself.  Every array's size is checked here, and each set
+    index by the provider, before a kernel indexes them.  Returns
+    ``(hits, misses, evictions, l2_hits, tick1, tick2)``.
+    """
+    lines, sets = _i64(lines), _i64(sets)
+    writes, hits_out = _u8(writes), _u8(hits_out)
+    if sets.size != lines.size or any(
+            flags is not None and flags.size != lines.size
+            for flags in (writes, hits_out)):
+        raise ValueError("replay_two_level needs one set, store flag and "
+                         "hit flag per line")
+    return _resolve_provider().replay_two_level(
+        lines, sets, writes, int(bool(write_allocate)), _level(*l1),
+        _level(*l2), hits_out)
 
 
 def stack_hits(lines, recent, capacity, cold_out=None):

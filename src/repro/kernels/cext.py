@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.kernels.reference import BAD_OP_ROWS
+from repro.kernels.reference import BAD_L1_SETS, BAD_OP_ROWS
 
 __all__ = ["load", "build_error"]
 
@@ -129,6 +129,131 @@ void repro_replay_assoc(const int64_t *lines, const int64_t *sets,
     out[1] = misses;
     out[2] = evictions;
     out[3] = tick;
+}
+
+/* One level of an inclusive hierarchy in replay_assoc's flattened
+ * per-way layout (stamps NULL for a one-way level), its LRU flag and next
+ * stamp, and mask = sets - 1 for power-of-two indexing. */
+typedef struct {
+    int64_t *tags, *stamps;
+    uint8_t *dirty;
+    int64_t ways, mask, lru, tick;
+} cache_level;
+
+/* The way of `line` in the set starting at slot `base`, or -1. */
+static int64_t level_find(const cache_level *lv, int64_t base,
+                          int64_t line) {
+    for (int64_t w = 0; w < lv->ways; w++)
+        if (lv->tags[base + w] == line)
+            return w;
+    return -1;
+}
+
+/* The way a fill of the set at `base` takes: the lowest empty way, else
+ * the minimum-stamp way. */
+static int64_t level_slot(const cache_level *lv, int64_t base) {
+    for (int64_t w = 0; w < lv->ways; w++)
+        if (lv->tags[base + w] < 0)
+            return w;
+    int64_t best = 0;
+    for (int64_t w = 1; w < lv->ways; w++)
+        if (lv->stamps[base + w] < lv->stamps[base + best])
+            best = w;
+    return best;
+}
+
+/* A hit at way `way` of the set at `base`: LRU restamps it. */
+static void level_touch(cache_level *lv, int64_t base, int64_t way) {
+    if (lv->lru && lv->stamps != 0)
+        lv->stamps[base + way] = lv->tick++;
+}
+
+/* Install `line` at way `slot` of the set at `base`. */
+static void level_put(cache_level *lv, int64_t base, int64_t slot,
+                      int64_t line, uint8_t dirty) {
+    lv->tags[base + slot] = line;
+    lv->dirty[base + slot] = dirty;
+    if (lv->stamps != 0)
+        lv->stamps[base + slot] = lv->tick++;
+}
+
+/* Inclusive L1/L2 replay: sets[i] is the L1 set of lines[i]; both levels
+ * index by power-of-two modulo (set = line & mask).  An L1 hit refreshes
+ * L1; an L2 hit refreshes L2 and promotes the line into L1; a full miss
+ * that allocates fills L2, drops the L2 victim's L1 copy
+ * (back-invalidation) and promotes.  A promotion's dirty L1 victim
+ * writes its dirt back into its L2 copy.  out = {hits, misses,
+ * evictions (L2 victims), l2_hits, tick1, tick2}.  Returns 0, or -1 when
+ * a set lies outside L1 (the arrays are then unspecified). */
+int64_t repro_replay_two_level(
+        const int64_t *lines, const int64_t *sets, const uint8_t *writes,
+        int64_t n, int64_t write_allocate,
+        int64_t *tags1, int64_t *stamps1, uint8_t *dirty1, int64_t sets1,
+        int64_t ways1, int64_t lru1, int64_t tick1,
+        int64_t *tags2, int64_t *stamps2, uint8_t *dirty2, int64_t sets2,
+        int64_t ways2, int64_t lru2, int64_t tick2,
+        uint8_t *hits_out, int64_t *out) {
+    cache_level l1 = {tags1, stamps1, dirty1, ways1, sets1 - 1, lru1, tick1};
+    cache_level l2 = {tags2, stamps2, dirty2, ways2, sets2 - 1, lru2, tick2};
+    int64_t hits = 0, misses = 0, evictions = 0, l2_hits = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t line = lines[i], s = sets[i];
+        if (s < 0 || s >= sets1)
+            return -1;
+        int wr = writes != 0 && writes[i];
+        int64_t base1 = s * ways1;
+        int64_t way = level_find(&l1, base1, line);
+        if (way >= 0) {
+            hits++;
+            level_touch(&l1, base1, way);
+            if (wr)
+                dirty1[base1 + way] = 1;
+            if (hits_out != 0)
+                hits_out[i] = 1;
+            continue;
+        }
+        int64_t base2 = (line & l2.mask) * ways2;
+        way = level_find(&l2, base2, line);
+        if (hits_out != 0)
+            hits_out[i] = way >= 0;
+        if (way >= 0) {
+            hits++;
+            l2_hits++;
+            level_touch(&l2, base2, way);
+        } else {
+            misses++;
+            if (wr && !write_allocate)
+                continue;
+            int64_t slot = level_slot(&l2, base2);
+            int64_t victim = tags2[base2 + slot];
+            if (victim >= 0) {
+                evictions++;
+                int64_t vbase = (victim & l1.mask) * ways1;
+                int64_t vway = level_find(&l1, vbase, victim);
+                if (vway >= 0) {
+                    tags1[vbase + vway] = -1;
+                    dirty1[vbase + vway] = 0;
+                }
+            }
+            level_put(&l2, base2, slot, line, 0);
+        }
+        int64_t slot = level_slot(&l1, base1);
+        int64_t victim = tags1[base1 + slot];
+        if (victim >= 0 && dirty1[base1 + slot]) {
+            int64_t vbase = (victim & l2.mask) * ways2;
+            int64_t vway = level_find(&l2, vbase, victim);
+            if (vway >= 0)
+                dirty2[vbase + vway] = 1;
+        }
+        level_put(&l1, base1, slot, line, (uint8_t)wr);
+    }
+    out[0] = hits;
+    out[1] = misses;
+    out[2] = evictions;
+    out[3] = l2_hits;
+    out[4] = l1.tick;
+    out[5] = l2.tick;
+    return 0;
 }
 
 /* Open-addressing table entry of the stack kernel: a line and the
@@ -618,6 +743,10 @@ _SIGNATURES = {
     "repro_replay_assoc": [
         _I64, _I64, _U8, _N, _N, _N, _N, _N, _I64, _I64, _U8, _U8, _I64,
     ],
+    "repro_replay_two_level": [
+        _I64, _I64, _U8, _N, _N, _I64, _I64, _U8, _N, _N, _N, _N,
+        _I64, _I64, _U8, _N, _N, _N, _N, _U8, _I64,
+    ],
     "repro_stack_hits": [_I64, _N, _I64, _N, _N, _U8, _U8, _I64, _I64],
     "repro_mm_timing": [_I64, _U8, _N, _N, _I64, _I64, _I64],
     "repro_cc_timing": [
@@ -635,7 +764,8 @@ _SIGNATURES = {
 }
 
 #: entry points that check their arguments and return 0 or -1
-_CHECKED = ("repro_stack_hits", "repro_op_addresses", "repro_op_timing")
+_CHECKED = ("repro_replay_two_level", "repro_stack_hits",
+            "repro_op_addresses", "repro_op_timing")
 
 _build_error: str | None = None
 
@@ -702,6 +832,19 @@ class _CExtProvider:
             _u8(dirty), _u8(hits_out), _i64(out),
         )
         return int(out[0]), int(out[1]), int(out[2]), int(out[3])
+
+    def replay_two_level(self, lines, sets, writes, write_allocate, l1, l2,
+                         hits_out):
+        out = np.zeros(6, dtype=np.int64)
+        levels = []
+        for ways, lru, tick, tags, stamps, dirty in (l1, l2):
+            levels += [_i64(tags), None if stamps is None else _i64(stamps),
+                       _u8(dirty), tags.size // ways, ways, lru, tick]
+        if self._lib.repro_replay_two_level(
+                _i64(lines), _i64(sets), _u8(writes), lines.size,
+                write_allocate, *levels, _u8(hits_out), _i64(out)):
+            raise ValueError(BAD_L1_SETS)
+        return tuple(int(value) for value in out)
 
     def stack_hits(self, lines, recent, capacity, cold_out):
         if recent.size + lines.size >= 1 << 31:

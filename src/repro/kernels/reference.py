@@ -6,7 +6,8 @@ semantics, and ``tests/kernels/test_provider_parity.py`` pins the two
 against each other, returns and state arrays element for element.  It is
 also what a host without a C compiler runs, so each kernel takes the
 fastest pure-Python form of its loop: the one-way replay is a numpy
-closed form for read-only batches and a list loop otherwise, the op-table
+closed form for read-only batches and a list loop otherwise, the
+two-level replay finds resident lines through dicts, the op-table
 address expansion is numpy, the op-table timing loop walks only the slots
 that touch memory, the other timing loops run on plain lists, the stack
 distances are an ``OrderedDict`` LRU loop, and Belady OPT is a dict loop.
@@ -48,8 +49,9 @@ from repro.machine.ops import (
 )
 
 __all__ = [
-    "replay_oneway", "replay_assoc", "stack_hits", "mm_timing", "cc_timing",
-    "pair_flat", "op_addresses", "op_timing", "belady_opt",
+    "replay_oneway", "replay_assoc", "replay_two_level", "stack_hits",
+    "mm_timing", "cc_timing", "pair_flat", "op_addresses", "op_timing",
+    "belady_opt",
 ]
 
 name = "reference"
@@ -223,6 +225,131 @@ def replay_assoc(lines, sets, writes, num_ways, write_allocate, lru, tick,
                 stamps[base + slot] = tick
                 tick += 1
     return hits, misses, evictions, tick
+
+
+#: what :func:`replay_two_level` raises for a set index outside L1
+BAD_L1_SETS = "replay_two_level: a set index lies outside the L1 level"
+
+
+def _fill_slot(tags, stamps, base, ways):
+    """The slot a fill of the set starting at ``base`` takes: its lowest
+    empty (``-1``) way, else its minimum-stamp way."""
+    if ways == 1:
+        return base
+    ways_tags = tags[base:base + ways]
+    if -1 in ways_tags:
+        return base + ways_tags.index(-1)
+    ways_stamps = stamps[base:base + ways]
+    return base + ways_stamps.index(min(ways_stamps))
+
+
+def _back_invalidate(where, tags, dirty, line):
+    """Drop ``line``'s L1 copy, if any: inclusion after an L2 eviction."""
+    slot = where.pop(line, None)
+    if slot is not None:
+        tags[slot] = -1
+        dirty[slot] = 0
+
+
+def replay_two_level(lines, sets, writes, write_allocate, l1, l2, hits_out):
+    """Inclusive L1/L2 replay over two levels in :func:`replay_assoc`'s
+    flattened ``[set, way]`` layout.
+
+    ``l1`` and ``l2`` are each ``(ways, lru, tick, tags, stamps, dirty)``;
+    ``stamps`` is ``None`` for a one-way level, whose tick never moves.
+    ``sets`` holds each line's L1 set; both levels index by power-of-two
+    modulo, so the set of a line in a level of ``S`` sets is ``line &
+    (S - 1)``.  An L1 hit refreshes L1.  An L2 hit refreshes L2 and
+    promotes the line into L1.  A full miss that allocates fills L2,
+    drops the L2 victim's L1 copy (back-invalidation) and promotes.  A
+    promotion takes L1's lowest empty way, else its minimum-stamp way,
+    and a dirty L1 victim's dirt falls back into its L2 copy.  Only L2
+    victims count as evictions.  Returns ``(hits, misses, evictions,
+    l2_hits, tick1, tick2)``; raises ``ValueError`` (:data:`BAD_L1_SETS`)
+    when a set lies outside L1.
+
+    This form finds resident lines through a line-to-slot dict per level
+    rather than scanning the set's ways.
+    """
+    ways1, lru1, tick1, tags1, stamps1, dirty1 = l1
+    ways2, lru2, tick2, tags2, stamps2, dirty2 = l2
+    sets1 = tags1.size // ways1
+    if lines.size and not 0 <= int(sets.min()) <= int(sets.max()) < sets1:
+        raise ValueError(BAD_L1_SETS)
+    mask2 = tags2.size // ways2 - 1
+    t1, d1, t2, d2 = (tags1.tolist(), dirty1.tolist(), tags2.tolist(),
+                      dirty2.tolist())
+    st1 = None if stamps1 is None else stamps1.tolist()
+    st2 = None if stamps2 is None else stamps2.tolist()
+    lru1 = lru1 and st1 is not None
+    lru2 = lru2 and st2 is not None
+    where1 = {line: slot for slot, line in enumerate(t1) if line >= 0}
+    where2 = {line: slot for slot, line in enumerate(t2) if line >= 0}
+    sets_list = sets.tolist()
+    writes_list = writes.tolist() if writes is not None else None
+    flags = []
+    flag = flags.append
+    hits = misses = evictions = l2_hits = 0
+    for i, line in enumerate(lines.tolist()):
+        wr = writes_list is not None and writes_list[i]
+        slot = where1.get(line)
+        if slot is not None:
+            hits += 1
+            if lru1:
+                st1[slot] = tick1
+                tick1 += 1
+            if wr:
+                d1[slot] = 1
+            flag(1)
+            continue
+        slot = where2.get(line)
+        if slot is not None:
+            hits += 1
+            l2_hits += 1
+            if lru2:
+                st2[slot] = tick2
+                tick2 += 1
+            flag(1)
+        else:
+            misses += 1
+            flag(0)
+            if wr and not write_allocate:
+                continue
+            slot = _fill_slot(t2, st2, (line & mask2) * ways2, ways2)
+            victim = t2[slot]
+            if victim >= 0:
+                evictions += 1
+                del where2[victim]
+                _back_invalidate(where1, t1, d1, victim)
+            t2[slot] = line
+            d2[slot] = 0
+            where2[line] = slot
+            if st2 is not None:
+                st2[slot] = tick2
+                tick2 += 1
+        slot = _fill_slot(t1, st1, sets_list[i] * ways1, ways1)
+        victim = t1[slot]
+        if victim >= 0:
+            del where1[victim]
+            if d1[slot] and victim in where2:
+                d2[where2[victim]] = 1
+        t1[slot] = line
+        d1[slot] = 1 if wr else 0
+        where1[line] = slot
+        if st1 is not None:
+            st1[slot] = tick1
+            tick1 += 1
+    tags1[:] = t1
+    dirty1[:] = d1
+    tags2[:] = t2
+    dirty2[:] = d2
+    if st1 is not None:
+        stamps1[:] = st1
+    if st2 is not None:
+        stamps2[:] = st2
+    if hits_out is not None:
+        hits_out[:] = flags
+    return hits, misses, evictions, l2_hits, tick1, tick2
 
 
 def stack_hits(lines, recent, capacity, cold_out):

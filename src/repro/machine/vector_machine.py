@@ -415,7 +415,7 @@ class CCMachine(VectorMachine):
     def _kernel_covers(self) -> bool:
         # A hit bitmap cannot carry which *level* served each access, so
         # hierarchical machines run the per-element reference loop (which
-        # reads ``cache.last_level`` after each access).
+        # reads the change in ``cache.l2_hits`` across each access).
         return (self._l2_time is None
                 and getattr(self.cache, "access_many", None) is not None
                 and super()._kernel_covers())
@@ -427,15 +427,18 @@ class CCMachine(VectorMachine):
     def _element_cycles(
         self, address: int, load: VectorLoad, report: ExecutionReport
     ) -> int:
+        l2_time = self._l2_time
+        if l2_time is not None:
+            l2_before = self.cache.l2_hits
         hit = self.cache.access(address).hit
         if hit:
             report.cache_hits += 1
-            if self._l2_time is not None and self.cache.last_level == 2:
+            if l2_time is not None and self.cache.l2_hits != l2_before:
                 # served by L2: a non-pipelined stall like a short miss
                 # penalty; the memory banks are never touched
                 report.l2_hits += 1
-                report.miss_stall_cycles += self._l2_time
-                return self._l2_time
+                report.miss_stall_cycles += l2_time
+                return l2_time
             return 0
         report.cache_misses += 1
         if load.expect_cached:

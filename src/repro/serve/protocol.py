@@ -141,15 +141,30 @@ def _registry_sweep(body: dict, registry: Mapping[str, Job]) -> Query:
     return Query(names=tuple(names), jobs=dict(registry))
 
 
+def _check_vcm_params(params: Mapping[str, Any]) -> None:
+    """Reject a ``vcm`` body the job would fail on: the ranges of a
+    ``vcm_batch`` point (the job's parameters are a subset of its keys),
+    and a mapping the scalar query has no model for.  The body itself is
+    left as sent, so its cache key does not change."""
+    from repro.analytical.surrogate import canonical_point
+
+    if params.get("mapping") == "assoc":
+        raise ValueError("mapping 'assoc' is served by vcm_batch only; "
+                         "vcm takes 'direct' or 'prime'")
+    canonical_point(params)
+
+
 def _synthetic(kind: str, body: dict, registry: Mapping[str, Job]) -> Query:
     fn_ref, modules = _QUERY_FNS[kind]
     params = _as_params(body[kind], kind)
     _check_params(fn_ref, params)
-    if kind == "trace":
-        try:
+    try:
+        if kind == "trace":
             check_trace_params(params)
-        except ValueError as error:
-            raise ProtocolError(str(error)) from None
+        else:
+            _check_vcm_params(params)
+    except ValueError as error:
+        raise ProtocolError(str(error)) from None
     job = Job(name=f"{kind}@{_params_digest(params)}", fn=fn_ref,
               params=params, modules=modules)
     jobs = dict(registry)

@@ -81,6 +81,7 @@ class Trace:
         self._length = 0
         self._arrays_cache: tuple[np.ndarray, np.ndarray | None] | None = None
         self._view_cache: list[Access] | None = None
+        self._distinct: dict[int, int] | None = None   # line shift -> count
         if accesses:
             for access in accesses:
                 self.append(access.address, write=access.write)
@@ -253,6 +254,21 @@ class Trace:
             out.append_block(addresses[writes], write=True)
         return out
 
+    def distinct_lines(self, line_shift: int = 0) -> int:
+        """Distinct lines of ``2**line_shift`` words the trace touches.
+
+        Memoised per shift until the trace is next mutated, so replaying
+        one trace through several caches counts its footprint once.
+        """
+        if self._distinct is None:
+            self._distinct = {}
+        count = self._distinct.get(line_shift)
+        if count is None:
+            addresses, _ = self.as_arrays()
+            count = int(np.unique(addresses >> line_shift).size)
+            self._distinct[line_shift] = count
+        return count
+
     def unique_addresses(self) -> set[int]:
         """Distinct addresses touched (the trace's working set)."""
         return set(np.unique(self.as_arrays()[0]).tolist())
@@ -294,6 +310,7 @@ class Trace:
     def _invalidate(self) -> None:
         self._arrays_cache = None
         self._view_cache = None
+        self._distinct = None
 
     def _flush_pending(self) -> None:
         """Move buffered scalar appends into the small-block staging area."""

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.cache.base import Cache
 from repro.cache.stats import CacheStats
 from repro.trace.records import Trace
@@ -64,16 +62,13 @@ def _compulsory_estimate(trace: Trace, cache) -> int:
     plain cache.  (For a prefetching wrapper a first touch can hit on a
     prefetched line; the estimate then overcounts, and the caller clamps.)
 
-    A trace that knows its own footprint in closed form (synthetic
-    streams expose ``distinct_lines``) answers without materialising the
-    address arrays, keeping billion-reference replays at O(chunk) memory.
+    Both trace kinds count their own footprint: a :class:`Trace` once
+    per line size until it is next mutated, a synthetic stream in closed
+    form without materialising its address arrays (billion-reference
+    replays stay at O(chunk) memory).
     """
     line_shift = cache.line_size_words.bit_length() - 1
-    distinct_lines = getattr(trace, "distinct_lines", None)
-    if distinct_lines is not None:
-        return int(distinct_lines(line_shift))
-    addresses, _ = trace.as_arrays()
-    return int(np.unique(addresses >> line_shift).size)
+    return int(trace.distinct_lines(line_shift))
 
 
 def replay(

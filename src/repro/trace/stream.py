@@ -13,11 +13,12 @@ references through the compiled replay kernels inside a bounded RSS.
 
 The class duck-types the slice of the :class:`~repro.trace.records.Trace`
 API the streaming consumers use (``iter_blocks``, ``__len__``,
-``description``, per-:class:`~repro.trace.records.Access` iteration) and
-adds the ``distinct_lines`` hook that
-:func:`repro.trace.replay._compulsory_estimate` consults so the
-compulsory-miss count is recovered from the period alone — the whole
-replay never touches an O(length) allocation on any backend.
+``description``, per-:class:`~repro.trace.records.Access` iteration,
+and ``distinct_lines``, which
+:func:`repro.trace.replay._compulsory_estimate` consults).  Its
+``distinct_lines`` works from the period alone, so the compulsory-miss
+count of an unclassified replay never touches an O(length) allocation
+on any backend.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ bicameral routing mask with the wrong half-open-interval side, a
 birthday-paradox expectation with an off-by-one exponent, an LRU that
 stops refreshing recency on hits in every engine at once, a stack
 distance test that counts a distance equal to the capacity as a shadow
-hit) and, for
+hit, a two-level replay kernel that leaves an L2 victim's L1 copy
+resident) and, for
 each, temporarily monkey-patches the fault in, re-runs the oracle
 sweep, and records which oracles noticed.  A mutation nobody catches is
 a *hole* in the verification net and fails the run.
@@ -308,6 +309,7 @@ def _lru_refresh_dropped():
     from repro.cache.replacement import LRUPolicy
 
     original = kernels.replay_assoc
+    original_two_level = kernels.replay_two_level
 
     def bad_replay_assoc(lines, sets, writes, num_ways, write_allocate, lru,
                          tick, tags, stamps, dirty, hits_out):
@@ -315,11 +317,19 @@ def _lru_refresh_dropped():
         return original(lines, sets, writes, num_ways, write_allocate,
                         False, tick, tags, stamps, dirty, hits_out)
 
+    def bad_replay_two_level(lines, sets, writes, write_allocate, l1, l2,
+                             hits_out):
+        # ... at both levels of the hierarchy kernel too
+        fifo = [(ways, False, *rest) for ways, _, *rest in (l1, l2)]
+        return original_two_level(lines, sets, writes, write_allocate,
+                                  *fifo, hits_out)
+
     def bad_on_hit(self, resident, line):
         # ... and so is the scalar policy's: a hit leaves the order alone
         pass
 
     with _patched(kernels, "replay_assoc", bad_replay_assoc), \
+            _patched(kernels, "replay_two_level", bad_replay_two_level), \
             _patched(LRUPolicy, "on_hit", bad_on_hit):
         yield
 
@@ -337,6 +347,26 @@ def _stack_capacity_off_by_one():
         return hits, original(lines, recent, capacity)[1]
 
     with _patched(kernels, "stack_hits", bad_stack_hits):
+        yield
+
+
+@contextmanager
+def _two_level_back_invalidation_dropped():
+    from repro import kernels
+    from repro.kernels import reference
+
+    def bad_replay_two_level(lines, sets, writes, write_allocate, l1, l2,
+                             hits_out):
+        # the hierarchy kernel forgets inclusion: an L2 victim's L1 copy
+        # stays resident (the pure-Python form with its back-invalidation
+        # step removed, whichever provider is live)
+        with _patched(reference, "_back_invalidate", lambda *args: None):
+            return reference.replay_two_level(
+                kernels._i64(lines), kernels._i64(sets), kernels._u8(writes),
+                int(bool(write_allocate)), kernels._level(*l1),
+                kernels._level(*l2), kernels._u8(hits_out))
+
+    with _patched(kernels, "replay_two_level", bad_replay_two_level):
         yield
 
 
@@ -417,8 +447,9 @@ MUTATIONS: dict[str, Mutation] = {
             _collision_exponent_off_by_one),
         Mutation(
             "lru-refresh-dropped",
-            "LRU hits stop refreshing recency in both LRUPolicy.on_hit and "
-            "the replay_assoc kernel, so every engine replays FIFO",
+            "LRU hits stop refreshing recency in LRUPolicy.on_hit and the "
+            "replay_assoc and replay_two_level kernels, so every engine "
+            "replays FIFO",
             ("lru-stack",),
             _lru_refresh_dropped),
         Mutation(
@@ -427,6 +458,12 @@ MUTATIONS: dict[str, Mutation] = {
             "shadow's capacity as a shadow hit (conflict, not capacity)",
             ("cache-batch", "kernel-backend"),
             _stack_capacity_off_by_one),
+        Mutation(
+            "two-level-back-invalidation-dropped",
+            "the two-level replay kernel leaves an L2 victim's L1 copy "
+            "resident, breaking the hierarchy's inclusion",
+            ("cache-zoo", "kernel-backend"),
+            _two_level_back_invalidation_dropped),
     )
 }
 

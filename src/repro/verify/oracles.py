@@ -74,6 +74,7 @@ from repro.cache import (
     MissKind,
     PrimeMappedCache,
     SetAssociativeCache,
+    TwoLevelCache,
 )
 from repro.machine.ops import LoadPair, VectorCompute, VectorLoad, VectorStore
 from repro.machine.vector_machine import CCMachine, MMMachine
@@ -152,6 +153,12 @@ def _make_case_cache(config: dict):
         return FullyAssociativeCache(
             num_lines=config["lines"], line_size_words=line_size,
             classify_misses=classify, write_allocate=write_allocate)
+    if kind == "two-level":
+        return TwoLevelCache(
+            l1_sets=config["l1_sets"], l2_sets=config["l2_sets"],
+            l1_ways=config["l1_ways"], l2_ways=config["l2_ways"],
+            line_size_words=line_size, classify_misses=classify,
+            write_allocate=write_allocate)
     raise ValueError(f"unknown cache kind {kind!r}")
 
 
@@ -897,13 +904,21 @@ def _kernel_backend_cases(mode: str, rng: random.Random) -> list[dict]:
     # banks and a CC machine on skewed ones, so the timing kernels also
     # see banks that are not the address's low bits; (e) the capacity + 1
     # sweep of cache-batch, whose batched miss labels meet a stack
-    # distance equal to the shadow's capacity.
+    # distance equal to the shadow's capacity; (f) a two-level hierarchy
+    # whose L2 has fewer sets than its two-way L1, so L2 victims' L1
+    # copies sit in other sets than the promoted lines and inclusion
+    # depends on back-invalidation.
     cases = [
         {"kind": "replay", "cache": "direct", "c": 5, "lines": 32,
          "line_size": 1, "classify": False, "write_allocate": True,
          "pattern": "strided", "length": 64, "stride": 3, "sweeps": 2,
          "span": 64, "write_frac": 0.25, "seed": 0},
         {"kind": "replay", **_CAPACITY_PLUS_ONE_SWEEP},
+        {"kind": "replay", "cache": "two-level", "l1_sets": 8,
+         "l1_ways": 2, "l2_sets": 4, "l2_ways": 8,
+         "line_size": 1, "classify": True, "write_allocate": True,
+         "pattern": "random", "length": 256, "stride": 1, "sweeps": 1,
+         "span": 96, "write_frac": 0.25, "seed": 0},
         {"kind": "belady", "total_lines": 16, "num_sets": 4,
          "line_size": 1, "pattern": "random", "length": 256,
          "span": 128, "write_frac": 0.25, "stride": 1, "sweeps": 1,
@@ -999,6 +1014,10 @@ def _check_kernel_replay(config: dict) -> list[Divergence]:
         if want_kinds:
             record["kinds_stream"] = batch.miss_kinds.tolist()
         record["resident"] = sorted(cache.resident_lines())
+        if isinstance(cache, TwoLevelCache):
+            record["l1_hits"] = cache.l1_hits
+            record["l2_hits"] = cache.l2_hits
+            record["l1_resident"] = sorted(cache.l1.resident_lines())
         results[backend] = record
     diverged = _backend_divergence(
         results,
@@ -1360,7 +1379,10 @@ def _zoo_cases(mode: str, rng: random.Random) -> list[dict]:
     # nonzero hash seed with reuse, so a batch mapping that drops the
     # seed fold diverges from the seeded scalar set_of; (c) the two
     # collision-law points whose closed-form-vs-measured margins were
-    # sized against the hash's real bias; (d) the L1/L2 timing law.
+    # sized against the hash's real bias; (d) the L1/L2 timing law; (e)
+    # an L1/L2 replay with a two-way L1, so an L2 victim's L1 copy often
+    # shares its set with a line the promotion keeps, and only
+    # back-invalidation preserves inclusion.
     cases = [
         {"kind": "bicameral-replay", "scalar_sets": 4, "vector_c": 3,
          "vector_ways": 1, "scalar_ways": 1, "vector_mapping": "prime",
@@ -1380,6 +1402,10 @@ def _zoo_cases(mode: str, rng: random.Random) -> list[dict]:
          "l2_sets": 64, "l2_hit_time": 4, "block": 16, "seed": 0},
         {"kind": "bicameral-isolation", "scalar_sets": 8, "vector_c": 5,
          "hammer": 400, "seed": 0},
+        {"kind": "l1l2-replay", "l1_sets": 8, "l1_ways": 2, "l2_sets": 64,
+         "write_allocate": True, "pattern": "random", "length": 512,
+         "stride": 1, "sweeps": 1, "span": 256, "write_frac": 0.25,
+         "seed": 0},
     ]
     for _ in range(rounds):
         lo = rng.randrange(1 << 10, 1 << 14)
@@ -1490,7 +1516,7 @@ def _check_zoo(config: dict) -> list[Divergence]:
         mean_colliding_lines,
         second_sweep_misses,
     )
-    from repro.cache import BicameralCache, HashedIndexCache, TwoLevelCache
+    from repro.cache import BicameralCache, HashedIndexCache
 
     kind = config["kind"]
     if kind == "bicameral-replay":

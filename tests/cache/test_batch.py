@@ -23,6 +23,7 @@ from repro.cache import (
     MissKind,
     PrimeMappedCache,
     SetAssociativeCache,
+    TwoLevelCache,
     XorMappedCache,
 )
 from repro.cache.set_assoc import ASSOC_SCAN_WAYS
@@ -54,6 +55,17 @@ FACTORIES = {
     "prime-wide": lambda **kw: PrimeMappedCache(c=3, line_size_words=2, **kw),
     "xor": lambda **kw: XorMappedCache(num_lines=16, **kw),
     "column": lambda **kw: ColumnAssociativeCache(num_lines=16, **kw),
+    "two-level": lambda **kw: TwoLevelCache(l1_sets=4, l2_sets=16, **kw),
+    "two-level-wide": lambda **kw: TwoLevelCache(
+        l1_sets=2, l2_sets=8, line_size_words=4, **kw
+    ),
+    "two-level-fifo-lru": lambda **kw: TwoLevelCache(
+        l1_sets=2, l2_sets=4, l1_ways=2, l2_ways=2, l1_policy="fifo", **kw
+    ),
+    # an L2 with fewer sets than L1: back-invalidation leaves L1 holes
+    "two-level-holes": lambda **kw: TwoLevelCache(
+        l1_sets=4, l2_sets=1, l1_ways=2, l2_ways=8, **kw
+    ),
 }
 
 #: address streams with enough aliasing to exercise every miss class
@@ -118,13 +130,39 @@ def _kinds(results):
             for r in results]
 
 
+def _level_state(level):
+    """A set-associative level's residency as the scalar path reads it:
+    each set's lines with their ways in recency order, the dirty lines,
+    and the holes (empty ways below a set's highest filled way, which is
+    what a fill's lowest-free-way choice depends on)."""
+    level.resident_lines()              # syncs the dicts from the mirror
+    sets = {s: list(lines.items()) for s, lines in level._sets.items()
+            if lines}
+    holes = {}
+    for s, heap in level._holes.items():
+        top = max(level._sets[s].values())
+        gaps = sorted(way for way in heap if way < top)
+        if gaps:
+            holes[s] = gaps
+    return sets, sorted(level._dirty), holes
+
+
+def _hierarchy_state(cache):
+    if not isinstance(cache, TwoLevelCache):
+        return None
+    return (cache.l1_hits, cache.l2_hits, _level_state(cache.l1),
+            _level_state(cache.l2))
+
+
 @settings(max_examples=80, deadline=None)
 @given(configs, streams, streams, streams)
 def test_mixed_scalar_then_batched_equals_scalar(config, first, middle, last):
     """Batches pick up exactly where scalar accesses left off and the
     other way round: batched, scalar and batched segments on one cache
     must equal one scalar run, per access (hits and three-C kinds),
-    per statistic and in the residency and shadow state left behind."""
+    per statistic and in the residency and shadow state left behind (for
+    a hierarchy: the per-level hit counters and each level's lines,
+    dirt and holes)."""
     name, classify, write_allocate = config
     factory = FACTORIES[name]
     reference = factory(
@@ -153,6 +191,7 @@ def test_mixed_scalar_then_batched_equals_scalar(config, first, middle, last):
     assert kinds + last_kinds == _kinds(expected)
     assert _stats_tuple(reference.stats) == _stats_tuple(mixed.stats)
     assert reference.resident_lines() == mixed.resident_lines()
+    assert _hierarchy_state(reference) == _hierarchy_state(mixed)
     # the state left behind is equivalent: replaying more scalar accesses
     # on both produces the same outcomes
     for address, write in first + middle:

@@ -245,9 +245,11 @@ class TestTwoLevel:
     def test_per_level_hits_partition_total(self, pairs):
         cache = TwoLevelCache(l1_sets=2, l2_sets=16, classify_misses=False)
         for address, write in pairs:
+            before = (cache.l1_hits, cache.l2_hits)
             result = cache.access(address, write=write)
-            assert cache.last_level in (0, 1, 2)
-            assert result.hit == (cache.last_level != 0)
+            served = (cache.l1_hits - before[0], cache.l2_hits - before[1])
+            assert served in ((0, 0), (1, 0), (0, 1))
+            assert result.hit == (served != (0, 0))
         assert cache.l1_hits + cache.l2_hits == cache.stats.hits
 
     @settings(max_examples=50, deadline=None)
@@ -281,15 +283,16 @@ class TestTwoLevel:
         cache = TwoLevelCache(l1_sets=1, l2_sets=8, classify_misses=False)
         cache.access(0)
         cache.access(1)  # evicts line 0 from the 1-line L1, not from L2
-        assert cache.access(0).hit and cache.last_level == 2
-        assert cache.access(0).hit and cache.last_level == 1
+        assert cache.access(0).hit and (cache.l1_hits, cache.l2_hits) == (0, 1)
+        assert cache.access(0).hit and (cache.l1_hits, cache.l2_hits) == (1, 1)
 
     def test_reset_clears_level_counters(self):
         cache = TwoLevelCache(l1_sets=2, l2_sets=8, classify_misses=False)
         for i in range(8):
             cache.access(i % 3)
+        assert cache.l1_hits and cache.l2_hits
         cache.reset()
-        assert (cache.l1_hits, cache.l2_hits, cache.last_level) == (0, 0, 0)
+        assert (cache.l1_hits, cache.l2_hits) == (0, 0)
         assert cache.resident_lines() == set()
 
     def test_dirty_l1_victim_falls_back_into_l2(self):

@@ -16,6 +16,7 @@ from repro.cache import (
     DirectMappedCache,
     FullyAssociativeCache,
     PrimeMappedCache,
+    TwoLevelCache,
 )
 from repro.cache.belady import simulate_opt
 from repro.trace.records import Trace
@@ -24,6 +25,8 @@ FACTORIES = {
     "direct": lambda: DirectMappedCache(num_lines=64),
     "prime": lambda: PrimeMappedCache(c=7),
     "assoc": lambda: FullyAssociativeCache(num_lines=16),
+    "two-level": lambda: TwoLevelCache(l1_sets=8, l2_sets=4, l1_ways=2,
+                                       l2_ways=8),
 }
 
 
@@ -61,3 +64,37 @@ def test_simulate_opt_identical_across_backends():
         results[backend] = (stats.accesses, stats.hits, stats.misses,
                             stats.reads, stats.writes, stats.evictions)
     assert results["scalar"] == results["compiled"]
+
+
+def _level(ways, num_sets):
+    size = ways * num_sets
+    return (ways, True, 1, np.full(size, -1, dtype=np.int64),
+            None if ways == 1 else np.zeros(size, dtype=np.int64),
+            np.zeros(size, dtype=bool))
+
+
+def test_replay_two_level_rejects_bad_arguments():
+    """Every array is sized at the entry point and every set index
+    bounded by the provider, before a kernel indexes them."""
+    lines = np.arange(8, dtype=np.int64)
+    sets = lines & 3
+
+    def replay(sets=sets, l1=None, l2=None, hits_out=None, writes=None):
+        return kernels.replay_two_level(
+            lines, sets, writes, True, l1 or _level(2, 4),
+            l2 or _level(1, 16), hits_out)
+
+    assert replay()[:4] == (0, 8, 0, 0)
+    for bad in (
+            dict(sets=np.append(sets[:-1], 4)),
+            dict(sets=np.append(sets[:-1], -1)),
+            dict(sets=sets[:-1]),
+            dict(hits_out=np.empty(7, dtype=bool)),
+            dict(writes=np.zeros(9, dtype=bool)),
+            dict(l1=_level(2, 3)),
+            dict(l1=(2, True, 1, np.full(8, -1, dtype=np.int64), None,
+                     np.zeros(8, dtype=bool))),
+            dict(l2=(1, True, 1, np.full(16, -1, dtype=np.int64), None,
+                     np.zeros(15, dtype=bool)))):
+        with pytest.raises(ValueError):
+            replay(**bad)

@@ -6,7 +6,8 @@ batches, its timing loops run on lists, its Belady OPT is a dict loop —
 so each entry point is run on both, from the same state, and their
 returns and state arrays must match element for element.  Inputs come
 from the real mappings: ``sets`` from direct, prime, hashed and XOR
-caches, ``banks`` from low-order, prime and skewed interleave.  Each
+caches (and a hierarchy's power-of-two L1 index), ``banks`` from
+low-order, prime and skewed interleave.  Each
 case runs several calls in a row so later calls start from warm state;
 the replay cases store first, so a read-only batch then meets dirty
 lines, and the op-table cases mix pairs with tails, stores, computes and
@@ -157,6 +158,57 @@ def test_replay_assoc(kind, batches, write_allocate, lru, data):
             _hits_out(data, lines.size)])
         tick = result[3]
         tags, stamps, dirty = args[7], args[8], args[9]
+
+
+def _two_level_state(ways: int, lru: bool, num_sets: int) -> list:
+    """An empty hierarchy level as ``replay_two_level`` takes it."""
+    size = num_sets * ways
+    return [ways, int(lru), 1, np.full(size, -1, dtype=np.int64),
+            None if ways == 1 else np.zeros(size, dtype=np.int64),
+            np.zeros(size, dtype=np.uint8)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((1, 2, 3)), st.sampled_from((1, 2, 4)),
+       st.sampled_from((2, 4)), st.sampled_from((1, 2, 8)), st.booleans(),
+       st.booleans(), st.booleans(),
+       st.lists(st.lists(st.integers(0, 63), max_size=160), min_size=3,
+                max_size=3),
+       st.data())
+def test_replay_two_level(l1_ways, l2_ways, l1_sets, l2_sets, lru1, lru2,
+                          write_allocate, batches, data):
+    """Both providers from the same warm hierarchy: equal returns, hit
+    flags and per-level tags, stamps and dirt after each batch.  Stores
+    leave dirty lines in L1 and, through dirty L1 victims, in L2; an L2
+    with fewer sets than L1 evicts lines whose L1 copy sits in another
+    set than the promoted line, so back-invalidation leaves L1 holes that
+    later batches fill; the last batch is empty."""
+    levels = [_two_level_state(l1_ways, lru1, l1_sets),
+              _two_level_state(l2_ways, lru2, l2_sets)]
+    for index, batch in enumerate(batches + [[]]):
+        lines = np.array(batch, dtype=np.int64)
+        writes = _replay_writes(data, min(index, 2), lines.size)
+        hits_out = _hits_out(data, lines.size)
+        outcomes = []
+        for provider in (C_PROVIDER, reference):
+            copies = [[a.copy() if isinstance(a, np.ndarray) else a
+                       for a in level] for level in levels]
+            hits = None if hits_out is None else hits_out.copy()
+            result = provider.replay_two_level(
+                lines, lines & (l1_sets - 1), writes, int(write_allocate),
+                *copies, hits)
+            outcomes.append((result, copies, hits))
+        (c_result, c_levels, c_hits), (py_result, py_levels, py_hits) = (
+            outcomes)
+        assert c_result == py_result
+        for c_level, py_level in zip(c_levels, py_levels):
+            for c_arr, py_arr in zip(c_level, py_level):
+                if isinstance(c_arr, np.ndarray):
+                    np.testing.assert_array_equal(c_arr, py_arr)
+        if hits_out is not None:
+            np.testing.assert_array_equal(c_hits, py_hits)
+        levels = c_levels
+        levels[0][2], levels[1][2] = c_result[4], c_result[5]
 
 
 #: the shadow a stack_hits batch starts from: none, fewer distinct lines

@@ -134,6 +134,51 @@ class TestTraceBounds:
         assert name.startswith("trace@")
 
 
+class TestVcmBounds:
+    """``vcm`` bodies and ``vcm_batch`` points are bounded at
+    normalisation by the ranges the analytical models need, so a bad
+    one is a 400 before anything is scheduled."""
+
+    @pytest.mark.parametrize("params, message", [
+        ({"t_m": -4}, "t_m must be a positive int"),
+        ({"t_m": 3.5}, "t_m must be a positive int"),
+        ({"banks": "x"}, "banks must be a positive int"),
+        ({"banks": 48}, "banks must be a power of two"),
+        ({"banks": 1}, "banks must be a power of two of at least 2"),
+        ({"cache_lines": 0}, "cache_lines must be a positive int"),
+        ({"cache_lines": 1}, "cache_lines must be at least 2"),
+        ({"reuse_factor": 0.5}, "reuse_factor must be at least 1"),
+        ({"p_ds": 1.5}, "p_ds must be in"),
+        ({"p_stride1_s1": -0.1}, "p_stride1_s1 must be in"),
+        ({"s2": None}, "need a second stride"),
+        ({"mapping": "assoc"}, "served by vcm_batch only"),
+    ])
+    def test_out_of_range_vcm_is_rejected(self, params, message):
+        with pytest.raises(ProtocolError, match=message):
+            normalise({"vcm": params}, REGISTRY)
+
+    @pytest.mark.parametrize("point, message", [
+        ({"banks": 3}, "point 0: banks must be a power of two"),
+        ({"p_ds": 7.0}, "point 0: p_ds must be in"),
+        ({"reuse_factor": -1}, "point 0: reuse_factor must be at least 1"),
+        ({"mapping": "assoc"}, "power-of-two number of sets"),
+        ({"mapping": "assoc", "cache_lines": 8192, "ways": 3},
+         "power-of-two number of sets"),
+    ])
+    def test_out_of_range_vcm_batch_point_is_rejected(self, point, message):
+        with pytest.raises(ProtocolError, match=message):
+            normalise({"vcm_batch": [point]}, REGISTRY)
+
+    def test_valid_body_keeps_its_params_and_key(self):
+        body = {"vcm": {"t_m": 24, "banks": 32, "reuse_factor": 8}}
+        (name,) = normalise(body, REGISTRY).names
+        query = normalise(body, REGISTRY)
+        assert query.jobs[name].params == body["vcm"]
+        assert name == normalise({"vcm": {"banks": 32, "t_m": 24,
+                                          "reuse_factor": 8}},
+                                 REGISTRY).names[0]
+
+
 class TestShapes:
     def test_body_must_be_an_object(self):
         with pytest.raises(ProtocolError, match="JSON object"):

@@ -294,6 +294,34 @@ class TestTraceBounds:
         assert response["results"][0]["result"]["accesses"] == 32
 
 
+class TestVcmBounds:
+    """Out-of-range ``vcm`` and ``vcm_batch`` bodies are answered 400 at
+    normalisation: nothing is scheduled and the pool keeps serving."""
+
+    BODIES = (
+        {"vcm": {"t_m": -4}},
+        {"vcm": {"banks": "x"}},
+        {"vcm": {"t_m": 3.5}},
+        {"vcm": {"cache_lines": 0}},
+        {"vcm": {"mapping": "assoc"}},
+        {"vcm_batch": [{"banks": 3}]},
+        {"vcm_batch": [{"p_ds": 7.0}]},
+        {"vcm_batch": [{"reuse_factor": -1}]},
+    )
+
+    def test_rejected_before_scheduling(self, client):
+        before = client.stats()
+        for body in self.BODIES:
+            with pytest.raises(ServeError) as excinfo:
+                client.query(body)
+            assert excinfo.value.status == 400, body
+        after = client.stats()
+        assert after["computed"] == before["computed"]
+        assert after["worker_deaths"] == 0
+        response = client.query({"vcm": {"t_m": 24, "banks": 32}})
+        assert response["results"][0]["result"]["banks"] == 32
+
+
 class TestShutdown:
     def test_graceful_drain(self, tmp_path):
         registry = {"leaf": Job(name="leaf",

@@ -46,6 +46,18 @@ class TestTrace:
         trace = Trace.from_addresses([1, 1, 2, 2, 2])
         assert trace.unique_addresses() == {1, 2}
 
+    def test_distinct_lines_per_line_size_follow_mutations(self):
+        trace = Trace.from_addresses([0, 1, 2, 3, 8, 9])
+        assert [trace.distinct_lines(shift) for shift in (0, 1, 2)] == [
+            6, 3, 2]
+        assert trace.distinct_lines(1) == 3    # memoised, same answer
+        trace.append(16)
+        assert trace.distinct_lines(1) == 4
+        trace.append_block([17, 40], write=True)
+        assert trace.distinct_lines(1) == 5
+        trace.extend(Trace.from_addresses([100]))
+        assert (trace.distinct_lines(0), trace.distinct_lines(1)) == (10, 6)
+
     def test_repr_mentions_size(self):
         assert "2 accesses" in repr(Trace.from_addresses([0, 1]))
 

@@ -11,8 +11,9 @@ class TestCatalogue:
         # the broadcast-collapse fault the batched surrogate invites,
         # plus the three cache-zoo faults (seed fold, routing boundary,
         # collision exponent), an LRU that replays FIFO in every engine
-        # (only the independent lru-stack witness sees it) and an
+        # (only the independent lru-stack witness sees it), an
         # off-by-one in the stack-distance test behind batched miss labels
+        # and a hierarchy kernel that forgets back-invalidation
         assert set(MUTATIONS) == {
             "fold-modulus-off-by-one",
             "dropped-bank-busy-stall",
@@ -28,6 +29,7 @@ class TestCatalogue:
             "collision-exponent-off-by-one",
             "lru-refresh-dropped",
             "stack-capacity-off-by-one",
+            "two-level-back-invalidation-dropped",
         }
 
     def test_expected_oracles_exist(self):
@@ -77,6 +79,15 @@ class TestSelfCheck:
         [outcome] = run_selfcheck(seed=0, mode="quick",
                                   mutations=["lru-refresh-dropped"])
         assert outcome.caught_by == ["lru-stack"]
+
+    def test_dropped_back_invalidation_caught_by_both_witnesses(self):
+        # the differential kernel-backend sweep sees the compiled path
+        # leave the scalar one; cache-zoo's inclusion and direct-L2
+        # checks see the hierarchy's own invariants break
+        [outcome] = run_selfcheck(
+            seed=0, mode="quick",
+            mutations=["two-level-back-invalidation-dropped"])
+        assert set(outcome.caught_by) == {"cache-zoo", "kernel-backend"}
 
     def test_single_mutation_selection(self):
         [outcome] = run_selfcheck(seed=0, mode="quick",
