@@ -88,7 +88,7 @@ def main() -> None:
     print("can undo the mapping's folding — which is the paper's point.")
     print("\n(the XOR hash ties on this trace: single in-reach strides are")
     print("its strength.  strides beyond 2^(2c) and sub-block accesses —")
-    print("see benchmarks/bench_ablation_mappings.py — are where the prime")
+    print("see results/ablation_mappings.txt — are where the prime")
     print("modulus's *guarantee* separates from the hash's luck.)")
 
 

@@ -7,7 +7,8 @@ a *surrogate model* for design-space search:
 ``evaluate_grid``
     score a broadcastable grid of (mapping, cache size, associativity,
     banks, ``t_m``) x workload points in one call — the engine behind
-    ``repro optimize`` and ``bench_optimize``.
+    ``repro optimize`` (its throughput gate is
+    ``tests/analytical/test_surrogate.py::TestThroughput``).
 ``evaluate_points``
     score a heterogeneous list of per-point dicts (the serve
     ``vcm_batch`` payload), grouping compatible points into as few

@@ -2,7 +2,7 @@
 
 The prime modulus is not the only proposal for de-pathologising a
 direct-mapped cache's index function.  Two contemporaneous alternatives
-are implemented here so the benchmarks can rank all three:
+are implemented here so the ablations can rank all three:
 
 * :class:`XorMappedCache` — *hash* the index by XOR-folding higher address
   bits into it (the ingredient of Seznec's skewed-associative caches).
@@ -17,8 +17,8 @@ are implemented here so the benchmarks can rank all three:
   folded footprint of a strided sweep, no more.
 
 Both keep power-of-two geometry and simple hardware, and both leave
-residual strided conflicts the Mersenne modulus removes — quantified in
-``benchmarks/bench_ablation_mappings.py``.
+residual strided conflicts the Mersenne modulus removes — quantified by
+the ``ablation-mappings`` job (``results/ablation_mappings.txt``).
 """
 
 from __future__ import annotations

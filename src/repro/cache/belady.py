@@ -15,7 +15,7 @@ offline:
 * But OPT is **unimplementable**, and even OPT cannot rescue a
   direct-mapped cache (one way = no choice) — whereas the prime mapping
   removes the strided conflicts entirely with *no* replacement policy at
-  all.  The benches put the three numbers side by side.
+  all.  The ``ablation-replacement`` job puts the numbers side by side.
 
 The implementation is the classic two-pass algorithm: precompute each
 reference's next-use index, then simulate with a "farthest next use"

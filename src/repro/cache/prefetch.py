@@ -4,7 +4,7 @@ The paper's introduction weighs its mapping-based attack on conflict
 misses against the *prefetching* attack of Fu and Patel ("Data prefetching
 in multiprocessor vector cache memories", ISCA 1991), which the paper
 notes still leaves miss ratios above 40% for some applications because
-prefetching cannot remove interference.  To let the benchmarks make that
+prefetching cannot remove interference.  To let the ablations make that
 comparison concretely, this module wraps any cache organisation with the
 two schemes from that work:
 

@@ -48,7 +48,7 @@ class PrimeMappedCache(SetAssociativeCache):
         line_size_words: words per line (power of two).
         ways: associativity; the paper's design is direct-mapped
             (``ways=1``) but the mapping composes with associativity, which
-            the ablation benchmarks exercise.
+            the ablation studies exercise.
 
     Example:
         >>> cache = PrimeMappedCache(c=5)       # 31 lines

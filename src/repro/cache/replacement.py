@@ -2,7 +2,7 @@
 
 Section 2.1 of the paper argues that higher associativity is *not* the fix
 for vector-cache conflicts, partly because "serial access to vectors
-dictates against LRU replacement" (Stone).  To let the benchmarks test that
+dictates against LRU replacement" (Stone).  To let the ablations test that
 claim rather than assume it, the set-associative model accepts pluggable
 policies: LRU, FIFO, and seeded-random.
 

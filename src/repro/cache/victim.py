@@ -12,7 +12,7 @@ The structural limit this module makes measurable: a strided sweep that
 folds ``B`` lines onto ``C / gcd`` cache lines generates eviction runs of
 length ``B * gcd / C``, and a ``v``-entry victim buffer only helps while
 the run fits — a handful of entries cannot absorb a vector-length run, so
-the reuse sweep still misses (the benchmarks quantify it).
+the reuse sweep still misses (the ``ablation-victim`` job quantifies it).
 """
 
 from __future__ import annotations

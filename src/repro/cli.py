@@ -4,7 +4,8 @@ Commands:
 
 * ``figures [fig4 fig7 ...]`` — regenerate evaluation figures and check
   the paper's claims about each; ``--simulated [--seeds N] [--workers N]``
-  re-measures fig7/fig8 on the cycle-level machines instead.
+  prints fig7/fig8 measured on the cycle-level machines instead (the
+  ``fig7-simulated``/``fig8-simulated`` registry jobs).
 * ``check [fig4 ...]`` — figure-claim checks only (no rendering); exits
   nonzero if any claim fails.
 * ``verify [--quick|--deep]`` — differential verification: oracle
@@ -19,12 +20,14 @@ Commands:
 * ``optimize`` — design-space search over the vectorised analytical
   surrogate: constraint filtering, Pareto-front extraction, and
   simulator verification of the top picks (see ``docs/optimizer.md``).
-* ``validate`` — analytical-vs-simulation cross-check.
+* ``validate`` — analytical-vs-simulation cross-check (the
+  ``validation`` registry job).
 * ``fit TRACE`` — estimate VCM parameters from a saved trace file.
 * ``report OUTPUT.md`` — write a full reproduction report (assembled
   from the orchestrated result cache).
 * ``sweep [NAMES ...]`` — run the full experiment graph through the
-  content-addressed result cache (see ``docs/orchestration.md``).
+  content-addressed result cache, regenerating ``results/`` and checking
+  every job's claims (see ``docs/orchestration.md``).
 * ``serve`` — long-lived HTTP/JSON daemon answering job/sweep/VCM/trace
   queries from the result cache, coalescing duplicate in-flight
   requests (see ``docs/serving.md``).
@@ -52,16 +55,19 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument("ids", nargs="*", help="figure ids (default: all)")
     figures.add_argument("--simulated", action="store_true",
                          help="measure fig7/fig8 on the cycle-level machines "
-                              "instead of the analytical closed forms")
-    figures.add_argument("--seeds", type=int, default=8,
-                         help="seeds per simulated point (with --simulated)")
+                              "instead of the analytical closed forms (the "
+                              "fig7-simulated/fig8-simulated jobs)")
+    figures.add_argument("--seeds", type=int, default=None,
+                         help="seeds per simulated point (with --simulated; "
+                              "default: the registry job's)")
     figures.add_argument("--workers", type=int, default=None,
-                         help="process-pool width for simulated seed "
-                              "sampling (with --simulated; default serial)")
-    figures.add_argument("--base-seed", type=int, default=0,
+                         help="process-pool width for the simulated jobs "
+                              "(with --simulated; default: min(4, CPUs); "
+                              "1 runs inline)")
+    figures.add_argument("--base-seed", type=int, default=None,
                          help="base seed the per-sample seeds derive from "
-                              "(with --simulated; results are identical "
-                              "for any --workers value)")
+                              "(with --simulated; default: the registry "
+                              "job's)")
 
     check = sub.add_parser(
         "check", help="figure-claim checks only (also reports the active "
@@ -160,7 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print the search + verification as JSON")
 
     validate = sub.add_parser("validate", help="analytics vs simulation")
-    validate.add_argument("--seeds", type=int, default=4)
+    validate.add_argument("--seeds", type=int, default=None,
+                          help="seeds per grid point (default: the "
+                               "registry job's)")
 
     fit = sub.add_parser("fit", help="fit VCM parameters to a trace file")
     fit.add_argument("trace_file", help="trace written by Trace.save()")
@@ -287,20 +295,21 @@ def _cmd_figures(args) -> int:
     from repro.experiments import ALL_FIGURES, check_figure, render_figure
 
     if args.simulated:
-        from repro.experiments import figure7_simulated, figure8_simulated
-
-        simulated = {"fig7": figure7_simulated, "fig8": figure8_simulated}
-        wanted = args.ids or sorted(simulated)
+        simulated = ("fig7", "fig8")
+        wanted = args.ids or list(simulated)
         unknown = [w for w in wanted if w not in simulated]
         if unknown:
             print(f"unknown simulated figures {unknown}; "
-                  f"choose from {sorted(simulated)}")
+                  f"choose from {list(simulated)}")
             return 2
-        for figure_id in wanted:
-            result = simulated[figure_id](seeds=args.seeds,
-                                          workers=args.workers,
-                                          base_seed=args.base_seed)
-            print(render_figure(result))
+        names = [f"{figure_id}-simulated" for figure_id in wanted]
+        override = {"seeds": args.seeds, "base_seed": args.base_seed}
+        jobs = _registry({name: override for name in names})
+        summary = _run_jobs(jobs, names, workers=_pool_width(args.workers))
+        if not summary.ok:
+            return 1
+        for name in names:
+            print(render_figure(summary.results[name]))
             print()
         return 0
 
@@ -492,41 +501,22 @@ def _cmd_blocking(args) -> int:
 
 def _cmd_optimize(args) -> int:
     import json as json_module
-    from dataclasses import replace
 
     from repro.experiments.optimizer import render_optimize
-    from repro.orchestrate import ResultStore, Runner, all_jobs
 
-    jobs = all_jobs()
-    search_params = {
-        "max_area_words": args.max_area,
-        "max_banks": args.max_banks,
-        "max_t_m": args.max_tm,
-        "min_bandwidth": args.min_bandwidth,
-        "p_ds": args.p_ds,
-        "p_stride1": args.p_stride1,
-        "top_k": args.top_k,
-    }
-    if args.mappings:
-        search_params["mappings"] = tuple(args.mappings)
-    if args.allow_unmodeled:
-        search_params["allow_unmodeled"] = True
-    jobs["optimize-search"] = replace(jobs["optimize-search"],
-                                      params=search_params)
-    names = ["optimize-search"]
-    if args.verify_k > 0:
-        jobs["optimize-verify"] = replace(
-            jobs["optimize-verify"],
-            params={"top_k": args.verify_k, "seeds": args.seeds,
-                    "blocks": 4})
-        names.append("optimize-verify")
-    store = ResultStore(args.cache_dir) if args.cache_dir else ResultStore()
-    runner = Runner(jobs.values(), store=store, results_dir=None)
-    summary = runner.run(names)
+    jobs = _registry({
+        "optimize-search": {
+            "max_area_words": args.max_area, "max_banks": args.max_banks,
+            "max_t_m": args.max_tm, "min_bandwidth": args.min_bandwidth,
+            "p_ds": args.p_ds, "p_stride1": args.p_stride1,
+            "top_k": args.top_k, "allow_unmodeled": args.allow_unmodeled,
+            "mappings": tuple(args.mappings) if args.mappings else None},
+        "optimize-verify": {"top_k": args.verify_k, "seeds": args.seeds},
+    })
+    names = (["optimize-search", "optimize-verify"] if args.verify_k > 0
+             else ["optimize-search"])
+    summary = _run_jobs(jobs, names, cache_dir=args.cache_dir)
     if not summary.ok:
-        for outcome in summary.outcomes:
-            if outcome.error:
-                print(f"{outcome.name}: {outcome.error}")
         return 1
     search = summary.results["optimize-search"]
     verification = summary.results.get("optimize-verify")
@@ -571,41 +561,21 @@ def _cmd_report(args) -> int:
     from pathlib import Path
 
     from repro.experiments.report import report_from_inputs
-    from repro.orchestrate import RESULTS_DIR, ResultStore, Runner, all_jobs
+    from repro.orchestrate import RESULTS_DIR
 
-    store = ResultStore(args.cache_dir) if args.cache_dir else None
-    jobs = all_jobs()
-    if args.simulate:
-        from dataclasses import replace
-
-        jobs["validation"] = replace(
-            jobs["validation"],
-            params={**jobs["validation"].params, "seeds": args.seeds})
-    runner = Runner(jobs.values(), store=store, results_dir=RESULTS_DIR)
-    if args.simulate:
-        # the validation grid is not part of the committed report
-        # artifact, so assemble this variant from the cached inputs
-        # instead of running the "report" job
-        names = list(jobs["report"].deps) + ["validation"]
-        summary = runner.run(names)
-        if not summary.ok:
-            for outcome in summary.outcomes:
-                if outcome.error:
-                    print(f"{outcome.name}: {outcome.error}")
-            return 1
-        text = report_from_inputs(summary.results)
-        Path(args.output).write_text(text)
-    else:
-        summary = runner.run(["report"])
-        if not summary.ok:
-            for outcome in summary.outcomes:
-                if outcome.error:
-                    print(f"{outcome.name}: {outcome.error}")
-            return 1
-        text = summary.results["report"]
-        if not text.endswith("\n"):
-            text += "\n"
-        Path(args.output).write_text(text)
+    jobs = _registry({"validation": {"seeds": args.seeds}})
+    # the validation grid is not part of the committed report artifact,
+    # so the --simulate variant is assembled from the cached inputs
+    # instead of running the "report" job
+    names = ([*jobs["report"].deps, "validation"] if args.simulate
+             else ["report"])
+    summary = _run_jobs(jobs, names, cache_dir=args.cache_dir,
+                        results_dir=RESULTS_DIR)
+    if not summary.ok:
+        return 1
+    text = (report_from_inputs(summary.results) if args.simulate
+            else summary.results["report"])
+    Path(args.output).write_text(text)
     tail = text.strip().splitlines()[-1]
     print(f"wrote {args.output} ({len(text.splitlines())} lines)")
     print(tail)
@@ -613,17 +583,49 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    from repro.experiments.render import render_table
-    from repro.experiments.validation import validation_grid
+    from repro.experiments.validation import render_validation
 
-    points = validation_grid(t_m_values=(8, 16), blocks=(512, 2048),
-                             seeds=args.seeds)
-    print(render_table(
-        ["model", "t_m", "B", "predicted", "simulated", "rel err"],
-        [[p.model, p.t_m, p.block, p.predicted, p.measured,
-          p.relative_error] for p in points],
-    ))
+    jobs = _registry({"validation": {"seeds": args.seeds}})
+    summary = _run_jobs(jobs, ["validation"])
+    if not summary.ok:
+        return 1
+    print(render_validation(summary.results["validation"]))
     return 0
+
+
+def _registry(overrides: dict | None = None) -> dict:
+    """The job registry with ``{job: {param: value}}`` overrides applied
+    (a ``None`` value keeps the registry's).  An overridden job caches
+    under its own key and has no artifact, so a variant never rewrites
+    a file under ``results/``."""
+    from dataclasses import replace
+
+    from repro.orchestrate import all_jobs
+
+    jobs = all_jobs()
+    for name, params in (overrides or {}).items():
+        job = jobs[name]
+        merged = {**job.params, **{key: value for key, value in params.items()
+                                   if value is not None}}
+        if merged != job.params:
+            jobs[name] = replace(job, params=merged, artifact=None,
+                                 render=None)
+    return jobs
+
+
+def _run_jobs(jobs: dict, names, *, workers: int = 1,
+              cache_dir: str | None = None, results_dir=None):
+    """Run ``names`` of ``jobs`` through the result cache; prints the
+    error of every job that failed."""
+    from repro.orchestrate import ResultStore, Runner
+
+    store = ResultStore(cache_dir) if cache_dir else ResultStore()
+    summary = Runner(jobs.values(), store=store, workers=workers,
+                     results_dir=results_dir).run(names)
+    for outcome in summary.outcomes:
+        if outcome.error:
+            print(f"{outcome.name}: {outcome.error}")
+    return summary
 
 
 def _pool_width(requested: int | None) -> int:
@@ -690,7 +692,6 @@ def _cmd_sweep(args) -> int:
         Runner,
         all_jobs,
         default_sweep,
-        figure_job_names,
     )
 
     _apply_backend(args)
@@ -733,16 +734,14 @@ def _cmd_sweep(args) -> int:
 
     summary = runner.run(names)
 
-    # claim checks: any analytical figure in the selection must still
-    # reproduce the paper's claims, cached or not
-    from repro.experiments import check_figure
+    # claim checks: every job that ran or hit, dependencies included,
+    # must still show its claims, cached or not
+    from repro.experiments.checks import check_job
 
-    claim_failures = claim_total = 0
-    for name in figure_job_names():
-        if name in summary.results:
-            for check in check_figure(summary.results[name]):
-                claim_total += 1
-                claim_failures += not check.passed
+    claims = [check for name, result in summary.results.items()
+              for check in check_job(name, result)]
+    claim_total = len(claims)
+    claim_failures = sum(not check.passed for check in claims)
 
     if args.json:
         payload = summary.to_dict()
@@ -760,6 +759,10 @@ def _cmd_sweep(args) -> int:
               f"{summary.count('ran')} ran, {summary.count('failed')} "
               f"failed, {summary.count('skipped')} skipped in "
               f"{summary.elapsed_s:.2f}s")
+        for check in claims:
+            if not check.passed:
+                print(f"{check.figure_id}: [FAIL] {check.claim}  "
+                      f"({check.detail})")
         if claim_total:
             verdict = "ok" if not claim_failures else "FAILED"
             print(f"claims: {claim_total - claim_failures}/{claim_total} "

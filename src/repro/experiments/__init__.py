@@ -2,7 +2,7 @@
 analytical-vs-simulation cross-validation, the sub-block study, and
 plain-text rendering."""
 
-from repro.experiments.checks import ClaimCheck, check_all_figures, check_figure
+from repro.experiments.checks import ClaimCheck, check_figure
 from repro.experiments.figures import (
     ALL_FIGURES,
     DEFAULTS,
@@ -50,7 +50,6 @@ __all__ = [
     "Summary",
     "ValidationPoint",
     "build_report",
-    "check_all_figures",
     "extension_associativity",
     "extension_bandwidth",
     "extension_missratio",

@@ -1,13 +1,9 @@
 """The nine ablation studies, as importable pure functions.
 
-Each study was born as a standalone ``benchmarks/bench_ablation_*.py``
-script; the compute halves now live here so the experiment orchestrator
-(:mod:`repro.orchestrate`) can schedule, cache and parallelise them like
-every other experiment, while the benches keep their claim assertions
-and simply call these functions.  Every function returns an
-:class:`AblationResult` whose ``rows`` are exactly the rows the old
-script produced, so the rendered ``results/ablation_*.txt`` artifacts
-are byte-identical whichever path regenerates them.
+Each study is a registry job (:mod:`repro.orchestrate.jobs`) that
+writes ``results/ablation_*.txt``; its claims are checked in
+:mod:`repro.experiments.checks`.  Every function returns an
+:class:`AblationResult`, rendered by :func:`render_ablation`.
 
 The studies (design-space context for the paper's mapping attack):
 
@@ -61,7 +57,7 @@ class AblationResult:
 
 
 def render_ablation(result: AblationResult) -> str:
-    """The fixed-width table the benches write to ``results/``."""
+    """The fixed-width table of a study's ``results/`` artifact."""
     return render_table(result.headers, result.rows)
 
 

@@ -61,12 +61,10 @@ def _extension_section(out: io.StringIO, extensions) -> None:
 
 
 def _validation_section(out: io.StringIO, points) -> None:
+    from repro.experiments.validation import render_validation
+
     out.write("## Analytical model vs cycle-level simulation\n\n```\n")
-    out.write(render_table(
-        ["model", "t_m", "B", "predicted", "simulated", "rel err"],
-        [[p.model, p.t_m, p.block, p.predicted, p.measured,
-          p.relative_error] for p in points],
-    ))
+    out.write(render_validation(points))
     out.write("\n```\n\n")
 
 

@@ -21,9 +21,11 @@ from repro.analytical.cc import DirectMappedModel, PrimeMappedModel
 from repro.analytical.mm import MMModel
 from repro.analytical.vcm import VCM
 from repro.cache import DirectMappedCache, PrimeMappedCache
+from repro.experiments.render import render_table
 from repro.machine import CCMachine, MMMachine, VCMDriver
 
-__all__ = ["ValidationPoint", "validate_point", "validation_grid"]
+__all__ = ["ValidationPoint", "render_validation", "validate_point",
+           "validation_grid"]
 
 
 @dataclass(frozen=True)
@@ -128,3 +130,12 @@ def validation_grid(
                     validate_point(model, t_m, block, seeds=seeds)
                 )
     return points
+
+
+def render_validation(points: list[ValidationPoint]) -> str:
+    """The ``results/validation.txt`` table."""
+    return "Analytical vs cycle-level simulation\n" + render_table(
+        ["model", "t_m", "B", "predicted", "measured", "rel err"],
+        [[p.model, p.t_m, p.block, p.predicted, p.measured,
+          p.relative_error] for p in points],
+    )

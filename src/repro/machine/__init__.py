@@ -16,18 +16,12 @@ from repro.machine.programs import (
     matmul_program,
     strided_reuse_program,
 )
-from repro.machine.registers import (
-    AllocationReport,
-    RegisterAllocator,
-    VectorRegisterFile,
-)
 from repro.machine.report import ExecutionReport
 from repro.machine.trace_runner import compare_machines_on_trace, run_trace
 from repro.machine.vcm_driver import DrivenResult, VCMDriver
 from repro.machine.vector_machine import CCMachine, MMMachine, VectorMachine
 
 __all__ = [
-    "AllocationReport",
     "CCMachine",
     "compare_machines_on_trace",
     "DrivenResult",
@@ -36,12 +30,10 @@ __all__ = [
     "MMMachine",
     "Operation",
     "OpTable",
-    "RegisterAllocator",
     "VCMDriver",
     "VectorCompute",
     "VectorLoad",
     "VectorMachine",
-    "VectorRegisterFile",
     "VectorStore",
     "fft_program",
     "jacobi_program",

@@ -52,7 +52,16 @@ def run_trace(
     stream ``trace.iter_blocks`` chunk by chunk — peak memory is
     O(chunk) — and produce identical reports; the ``kernel-backend``
     oracle sweeps them against each other.
+
+    Raises:
+        ValueError: for a two-level cache (one with an ``l2_hit_time``),
+            whose L2 hits these rules would time as free L1 hits.
     """
+    if getattr(getattr(machine, "cache", None), "l2_hit_time",
+               None) is not None:
+        raise ValueError("run_trace does not time two-level hierarchies "
+                         "(L2 hits would cost nothing); use "
+                         "CCMachine.execute")
     backend = kernels.resolve_backend(backend)
     machine.reset()
     report = ExecutionReport()

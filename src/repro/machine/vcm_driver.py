@@ -6,8 +6,8 @@ a ``P_ds`` fraction of the work as double-stream accesses, strides drawn
 from the unit-or-uniform distribution — as a concrete instruction stream
 with a seeded RNG, and runs it on an executable machine.  Averaged over
 seeds, the simulator's cycles-per-result should track the analytical
-prediction; the cross-validation tests (and ``benchmarks/
-bench_validation.py``) check exactly that.
+prediction; the cross-validation tests (and the ``validation`` job's
+claim checks) check exactly that.
 
 Workload construction mirrors Section 3.1's "imagined matrix": each sweep
 of the first vector is cut into ``~1/P_ds`` column pieces of length

@@ -1,21 +1,22 @@
 """The experiment graph: every reproduction target as an orchestrated job.
 
 This registry is the single source of truth for what ``repro sweep``
-runs: the nine paper figures, the four extension figures, the Section-4
-sub-block study, the nine ablations, the four cache-zoo studies
-(docs/cache-zoo.md), the machine-measured figure variants, and the
-assembled reproduction report.  Each job declares the
-source modules its numbers depend on, so the content-addressed cache
-invalidates exactly the results a code change can move — and nothing
-else.
+runs, and the only producer of ``results/``: the nine paper figures,
+the four extension figures, the Section-4 sub-block study, the nine
+ablations, the four cache-zoo studies (docs/cache-zoo.md), the four
+studies of :mod:`repro.experiments.studies`, the machine-measured figure
+variants, the analytics-vs-simulation grid, and the assembled
+reproduction report.  Each job declares the source modules its numbers
+depend on, so the content-addressed cache invalidates exactly the
+results a code change can move — and nothing else.  The claims each
+job's result must show are in :data:`repro.experiments.checks.CHECKERS`.
 
 Selections:
 
-* :func:`default_sweep` — the full figure set (everything above).
-* :func:`smoke_sweep` — two small machine-measured figure jobs used by
-  CI to exercise the cold-run → warm-cache path in seconds.
-* ``validation`` — the analytics-vs-simulation grid; not part of the
-  default sweep (``repro report --simulate`` schedules it).
+* :func:`default_sweep` — everything above.
+* :func:`smoke_sweep` — two small machine-measured figure jobs and a
+  small zoo study, used by CI to exercise the cold-run → warm-cache
+  path in seconds.
 """
 
 from __future__ import annotations
@@ -78,6 +79,20 @@ _ABLATION = ("repro.analytical", "repro.cache", "repro.memory",
 _ZOO = ("repro.analytical", "repro.cache", "repro.machine",
         "repro.trace", "repro.workloads", "repro.experiments.cache_zoo")
 
+#: The renderer of every fixed-width table result.
+_TABLE = "repro.experiments.ablations:render_ablation"
+
+#: Studies beside the figures (repro.experiments.studies):
+#: job name -> (study function, module scope, renderer).
+_STUDY_FNS = {
+    "address-gen": ("address_gen_study", ("repro.core",),
+                    "repro.experiments.studies:render_address_gen"),
+    "bandwidth": ("bandwidth_study", _ABLATION, _TABLE),
+    "workloads": ("workload_study", _ABLATION + ("repro.workloads",),
+                  _TABLE),
+    "programs": ("program_study", _ABLATION, _TABLE),
+}
+
 #: Cache-zoo studies (docs/cache-zoo.md): job name -> study function.
 _ZOO_FNS = {
     "zoo-bicameral-vs-prime": "zoo_bicameral_vs_prime",
@@ -88,7 +103,7 @@ _ZOO_FNS = {
 
 
 def figure_job_names() -> tuple[str, ...]:
-    """The analytical paper-figure jobs (claim checks apply to these)."""
+    """The analytical paper-figure jobs."""
     return tuple(_FIGURE_FNS)
 
 
@@ -137,7 +152,7 @@ def all_jobs() -> dict[str, Job]:
             name=job_name,
             fn=f"repro.experiments.cache_zoo:{fn_name}",
             modules=_ZOO,
-            render="repro.experiments.ablations:render_ablation",
+            render=_TABLE,
             artifact=f"{job_name.replace('-', '_')}.txt",
         ))
 
@@ -146,8 +161,17 @@ def all_jobs() -> dict[str, Job]:
             name=stem.replace("_", "-"),
             fn=f"repro.experiments.ablations:{stem}",
             modules=_ABLATION,
-            render="repro.experiments.ablations:render_ablation",
+            render=_TABLE,
             artifact=f"{stem}.txt",
+        ))
+
+    for job_name, (fn_name, modules, render) in _STUDY_FNS.items():
+        jobs.append(Job(
+            name=job_name,
+            fn=f"repro.experiments.studies:{fn_name}",
+            modules=modules,
+            render=render,
+            artifact=f"{job_name.replace('-', '_')}.txt",
         ))
 
     jobs.append(Job(
@@ -196,8 +220,10 @@ def all_jobs() -> dict[str, Job]:
     jobs.append(Job(
         name="validation",
         fn="repro.experiments.validation:validation_grid",
-        params={"t_m_values": (8, 16), "blocks": (512, 2048), "seeds": 3},
+        params={"t_m_values": (8, 16), "blocks": (512, 2048), "seeds": 4},
         modules=_SIMULATED,
+        render="repro.experiments.validation:render_validation",
+        artifact="validation.txt",
     ))
 
     # CI smoke pair: tiny machine-measured figure points, heavy enough
@@ -220,7 +246,7 @@ def all_jobs() -> dict[str, Job]:
         params={"set_counts": (16, 64), "fills": (0.5, 1.0),
                 "sim_seeds": 2, "law_seeds": 256},
         modules=_ZOO,
-        render="repro.experiments.ablations:render_ablation",
+        render=_TABLE,
         artifact="smoke_zoo_hashed.txt",
     ))
 
@@ -228,7 +254,7 @@ def all_jobs() -> dict[str, Job]:
 
 
 #: Jobs kept out of the default sweep: scheduled on demand only.
-_NON_DEFAULT = ("validation", "optimize-search", "optimize-verify",
+_NON_DEFAULT = ("optimize-search", "optimize-verify",
                 "smoke-fig7-simulated", "smoke-fig8-simulated",
                 "smoke-zoo-hashed")
 

@@ -1,10 +1,4 @@
-"""Pure renderers used by orchestrated jobs to materialise artifacts.
-
-These produce byte-for-byte the text the benchmark harness has always
-written under ``results/`` (see ``benchmarks/conftest.py``), so the same
-file is identical whichever path — ``pytest benchmarks/`` or
-``repro sweep`` — regenerated it last.
-"""
+"""Pure renderers used by orchestrated jobs to materialise artifacts."""
 
 from __future__ import annotations
 
@@ -20,7 +14,7 @@ def join_figures(inputs: dict) -> str:
 
 
 def render_subblock(rows) -> str:
-    """The Section-4 sub-block table, titled as the bench writes it."""
+    """The titled Section-4 sub-block table."""
     table = render_table(
         ["P", "b1", "b2", "prime util", "prime conflicts",
          "direct conflicts"],

@@ -8,7 +8,7 @@ tiled end to end.  :class:`StridedStream` precomputes a single period of
 addresses plus one chunk-sized tiling of it, then serves every
 ``iter_blocks`` chunk as a zero-copy *view* into that buffer — peak
 memory is O(chunk + period) no matter how many references the stream
-claims, which is what lets ``benchmarks/bench_stream.py`` push 10^9
+claims, which is what lets ``tests/trace/test_stream.py`` push 10^9
 references through the compiled replay kernels inside a bounded RSS.
 
 The class duck-types the slice of the :class:`~repro.trace.records.Trace`

@@ -3,13 +3,18 @@ regenerated figures."""
 
 import pytest
 
-from repro.experiments.checks import check_all_figures, check_figure
+from repro.experiments.checks import CHECKERS, check_figure, check_job
 from repro.experiments.figures import ALL_FIGURES, FigureResult
+from repro.orchestrate import all_jobs
+
+#: ~15 s of cycle-level simulation together: CI's full sweep checks them.
+_CANONICAL_SIMULATED = {"fig7-simulated", "fig8-simulated"}
 
 
 @pytest.fixture(scope="module")
 def all_checks():
-    return check_all_figures()
+    return [check for build in ALL_FIGURES.values()
+            for check in check_figure(build())]
 
 
 class TestClaims:
@@ -30,6 +35,25 @@ class TestClaims:
         bogus = FigureResult("fig99", "t", "x", [1], "y")
         with pytest.raises(ValueError):
             check_figure(bogus)
+
+
+class TestJobClaims:
+    def test_every_checker_belongs_to_a_job(self):
+        assert set(CHECKERS) <= set(all_jobs())
+
+    def test_smoke_twins_are_not_checked(self):
+        assert not any(name.startswith("smoke-") for name in CHECKERS)
+        assert check_job("smoke-fig8-simulated", None) == []
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(CHECKERS) - _CANONICAL_SIMULATED))
+    def test_job_result_shows_its_claims(self, name):
+        checks = check_job(name, all_jobs()[name].execute())
+        assert checks
+        assert {c.figure_id for c in checks} == {name}
+        failures = [c for c in checks if not c.passed]
+        assert not failures, "\n".join(
+            f"{c.claim} [{c.detail}]" for c in failures)
 
 
 class TestSpecificClaims:

@@ -72,14 +72,6 @@ class TestSimulatedFigures:
         for series_a, series_b in zip(a.series, b.series):
             assert series_a.values == series_b.values
 
-    def test_process_pool_matches_serial(self):
-        serial = figure7_simulated([16], block=256, reuse=4, seeds=2,
-                                   blocks=2)
-        pooled = figure7_simulated([16], block=256, reuse=4, seeds=2,
-                                   blocks=2, workers=2)
-        for series_a, series_b in zip(serial.series, pooled.series):
-            assert series_a.values == series_b.values
-
     def test_full_reuse_series_are_pinned(self):
         # Full reuse (R = B = 256) on all three machines: every reuse
         # sweep of a block re-issues the same loads, stride draws both
@@ -101,9 +93,7 @@ class TestSimulatedFigures:
 
 
 class TestSeedStability:
-    """Per-sample seeds derive from the base seed and sample index only,
-    never from worker scheduling — figures are identical for any
-    ``workers`` value."""
+    """Per-sample seeds derive from the base seed and sample index only."""
 
     def test_sample_seeds_derive_from_base_seed(self):
         from repro.experiments.simulated_figures import _sample_seeds
@@ -112,14 +102,6 @@ class TestSeedStability:
         assert _sample_seeds(2, 3) == [2 * 1_000_003 + i for i in range(3)]
         # disjoint families for distinct base seeds (within typical sizes)
         assert not set(_sample_seeds(1, 64)) & set(_sample_seeds(2, 64))
-
-    def test_one_worker_equals_four_workers(self):
-        serial = figure7_simulated([16], block=256, reuse=4, seeds=4,
-                                   blocks=2, workers=1, base_seed=9)
-        pooled = figure7_simulated([16], block=256, reuse=4, seeds=4,
-                                   blocks=2, workers=4, base_seed=9)
-        for series_a, series_b in zip(serial.series, pooled.series):
-            assert series_a.values == series_b.values
 
     def test_base_seed_selects_a_different_sample_family(self):
         a = figure7_simulated([16], block=256, reuse=4, seeds=2, blocks=2,
@@ -135,6 +117,6 @@ class TestSeedStability:
         a = figure8_simulated([256], t_m=16, reuse=4, seeds=2, blocks=2,
                               base_seed=3)
         b = figure8_simulated([256], t_m=16, reuse=4, seeds=2, blocks=2,
-                              base_seed=3, workers=2)
+                              base_seed=3)
         for series_a, series_b in zip(a.series, b.series):
             assert series_a.values == series_b.values

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.analytical.base import MachineConfig
-from repro.cache import DirectMappedCache, PrimeMappedCache
+from repro.cache import DirectMappedCache, PrimeMappedCache, TwoLevelCache
 from repro.machine import CCMachine, MMMachine
+from repro.machine.programs import strided_reuse_program
 from repro.machine.trace_runner import compare_machines_on_trace, run_trace
 from repro.trace.patterns import strided
 from repro.trace.records import Trace
@@ -79,6 +80,22 @@ class TestRunTraceCC:
         cache = DirectMappedCache(num_lines=32, classify_misses=False)
         report = run_trace(cc(cache, t_m=8), strided(0, 1, 8))
         assert report.miss_stall_cycles == 8 * 8
+
+
+class TestRunTraceHierarchy:
+    @pytest.mark.parametrize("backend", ["scalar", "compiled"])
+    def test_two_level_cache_refused(self, backend):
+        """A 16-element vector swept twice through a 4-set L1 hits L2 on
+        every second-sweep access: ``execute`` charges the 16 L2 hits
+        4 cycles each, and the trace rules would charge nothing."""
+        def machine():
+            return cc(TwoLevelCache(l1_sets=4, l2_sets=64, l2_hit_time=4))
+
+        report = machine().execute(strided_reuse_program(0, 1, 16, 2))
+        assert (report.l2_hits, report.miss_stall_cycles) == (16, 64)
+        with pytest.raises(ValueError, match="CCMachine.execute"):
+            run_trace(machine(), strided(0, 1, 16, sweeps=2),
+                      backend=backend)
 
 
 class TestCompare:

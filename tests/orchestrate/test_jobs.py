@@ -1,6 +1,9 @@
 """Sanity of the production job registry (the graph `repro sweep` runs)."""
 
+from collections import Counter
+
 from repro.orchestrate import (
+    RESULTS_DIR,
     Runner,
     all_jobs,
     default_sweep,
@@ -37,7 +40,7 @@ class TestRegistry:
         jobs = all_jobs()
         default = default_sweep()
         assert set(default) <= set(jobs)
-        assert "validation" not in default
+        assert "validation" in default
         assert not any(name.startswith("smoke-") for name in default)
         assert set(figure_job_names()) <= set(default)
         assert set(smoke_sweep()) <= set(jobs)
@@ -46,6 +49,19 @@ class TestRegistry:
             "smoke-fig8-simulated",
             "smoke-zoo-hashed",
         )
+
+    def test_registry_is_the_only_producer_of_results(self):
+        """Every file under results/ but the golden baselines is the
+        artifact of exactly one job, so `repro sweep` regenerates all."""
+        producers = Counter(job.artifact for job in all_jobs().values()
+                            if job.artifact)
+        files = [path.relative_to(RESULTS_DIR).as_posix()
+                 for path in RESULTS_DIR.rglob("*") if path.is_file()]
+        committed = [name for name in files
+                     if not name.startswith("golden/")]
+        assert committed
+        assert {name: producers[name] for name in committed} == {
+            name: 1 for name in committed}
 
     def test_report_consumes_every_figure(self):
         report = all_jobs()["report"]

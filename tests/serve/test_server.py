@@ -322,6 +322,23 @@ class TestVcmBounds:
         assert response["results"][0]["result"]["banks"] == 32
 
 
+class TestJobOverrides:
+    def test_pool_width_is_not_a_job_param(self, tmp_path):
+        """The service's pool is the only one a query can size: a
+        simulated figure takes no ``workers`` override, so the body is
+        a 400 before anything is scheduled."""
+        with serve_in_thread(store=ResultStore(tmp_path / "cache"),
+                             workers=1) as handle:
+            client = ServeClient(port=handle.port)
+            before = client.stats()
+            with pytest.raises(ServeError) as excinfo:
+                client.query({"job": "smoke-fig8-simulated",
+                              "params": {"seeds": 2, "workers": 2}})
+            assert excinfo.value.status == 400
+            assert "workers" in str(excinfo.value)
+            assert client.stats()["computed"] == before["computed"]
+
+
 class TestShutdown:
     def test_graceful_drain(self, tmp_path):
         registry = {"leaf": Job(name="leaf",

@@ -91,32 +91,58 @@ class TestCommands:
         )
         assert args.simulated and args.seeds == 2 and args.workers == 4
 
-    def test_figures_simulated(self, capsys, monkeypatch):
-        import repro.experiments as experiments
+    def test_figures_simulated(self, capsys, monkeypatch, tmp_path):
+        """--seeds and --base-seed override the registry job's params;
+        its other params stay."""
+        from repro.experiments import simulated_figures
 
         seen = {}
-        real = experiments.figure7_simulated
+        real = simulated_figures.figure7_simulated
 
-        def tiny(seeds, workers, base_seed):
-            seen["seeds"], seen["workers"] = seeds, workers
-            seen["base_seed"] = base_seed
+        def tiny(**params):
+            seen.update(params)
             return real([8], block=64, reuse=2, seeds=1, blocks=1)
 
-        monkeypatch.setattr(experiments, "figure7_simulated", tiny)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(simulated_figures, "figure7_simulated", tiny)
         assert main(["figures", "--simulated", "fig7",
-                     "--seeds", "2", "--workers", "3",
+                     "--seeds", "2", "--workers", "1",
                      "--base-seed", "5"]) == 0
-        assert seen == {"seeds": 2, "workers": 3, "base_seed": 5}
+        assert seen == {"seeds": 2, "blocks": 4, "base_seed": 5}
         assert "fig7" in capsys.readouterr().out
+
+    def test_figures_simulated_defaults_print_the_artifact(
+            self, capsys, monkeypatch, tmp_path):
+        from repro.orchestrate import RESULTS_DIR
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["figures", "--simulated", "fig7", "--workers", "1"]) == 0
+        expected = (RESULTS_DIR / "fig7_simulated.txt").read_text()
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_figures_simulated_unknown(self, capsys):
         assert main(["figures", "--simulated", "fig4"]) == 2
         assert "unknown simulated" in capsys.readouterr().out
 
-    def test_validate_small(self, capsys):
+    def test_validate_small(self, capsys, monkeypatch, tmp_path):
+        from repro.orchestrate import RESULTS_DIR
+
+        committed = (RESULTS_DIR / "validation.txt").read_bytes()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["validate", "--seeds", "1"]) == 0
         out = capsys.readouterr().out
         assert "predicted" in out
+        # an override is a variant: the committed artifact stays
+        assert (RESULTS_DIR / "validation.txt").read_bytes() == committed
+
+    def test_validate_prints_the_artifact(self, capsys, monkeypatch,
+                                          tmp_path):
+        from repro.orchestrate import RESULTS_DIR
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["validate"]) == 0
+        expected = (RESULTS_DIR / "validation.txt").read_text()
+        assert capsys.readouterr().out == expected
 
     def test_report(self, capsys, tmp_path):
         out = tmp_path / "report.md"
@@ -164,7 +190,7 @@ class TestCheckCommand:
             return [checks.ClaimCheck(result.figure_id, "forced failure",
                                       False, "injected by test")]
 
-        monkeypatch.setitem(checks._CHECKERS, "fig9", broken)
+        monkeypatch.setitem(checks.CHECKERS, "fig9", broken)
         assert main(["check", "fig9"]) == 1
         out = capsys.readouterr().out
         assert "[FAIL]" in out
@@ -177,7 +203,7 @@ class TestCheckCommand:
             return [checks.ClaimCheck(result.figure_id, "forced failure",
                                       False, "injected by test")]
 
-        monkeypatch.setitem(checks._CHECKERS, "fig9", broken)
+        monkeypatch.setitem(checks.CHECKERS, "fig9", broken)
         assert main(["figures", "fig9"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
 
@@ -288,6 +314,26 @@ class TestSweepCommand:
         assert payload["claims"]["failed"] == 0
         assert payload["jobs"][0]["name"] == "fig4"
         assert len(payload["jobs"][0]["key"]) == 64
+
+    def test_study_claims_are_counted(self, capsys, tmp_path):
+        assert main(["sweep", "address-gen", "--cache-dir", str(tmp_path),
+                     "--jobs", "1", "--no-artifacts"]) == 0
+        assert "claims: 4/4 pass (ok)" in capsys.readouterr().out
+
+    def test_failing_claim_exits_nonzero(self, capsys, tmp_path,
+                                         monkeypatch):
+        from repro.experiments import checks
+
+        def broken(result):
+            return [checks.ClaimCheck("address-gen", "forced failure",
+                                      False, "injected by test")]
+
+        monkeypatch.setitem(checks.CHECKERS, "address-gen", broken)
+        assert main(["sweep", "address-gen", "--cache-dir", str(tmp_path),
+                     "--jobs", "1", "--no-artifacts"]) == 1
+        out = capsys.readouterr().out
+        assert "address-gen: [FAIL] forced failure" in out
+        assert "claims: 0/1 pass (FAILED)" in out
 
     def test_force_reruns_warm_cache(self, capsys, tmp_path):
         args = ["sweep", "fig4", "--cache-dir", str(tmp_path),

@@ -11,7 +11,6 @@ import repro.cache.victim
 import repro.core.address_gen
 import repro.core.design
 import repro.core.mersenne
-import repro.machine.registers
 import repro.machine.vcm_driver
 import repro.machine.vector_machine
 import repro.memory.banks
@@ -26,7 +25,6 @@ MODULES = [
     repro.core.address_gen,
     repro.core.design,
     repro.core.mersenne,
-    repro.machine.registers,
     repro.machine.vcm_driver,
     repro.machine.vector_machine,
     repro.memory.banks,

@@ -10,8 +10,17 @@ replay parity.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro import kernels
 from repro.cache import DirectMappedCache, PrimeMappedCache
@@ -113,3 +122,72 @@ def test_replay_parity_with_materialised_trace(backend, factory):
         assert getattr(from_stream.stats, field) == \
             getattr(from_trace.stats, field), field
     assert from_stream.stall_cycles == from_trace.stall_cycles
+
+
+# -- the streaming bounds ---------------------------------------------------
+#
+# A billion-reference stream replays in a child process whose peak RSS
+# (ru_maxrss of just that replay) stays under 512 MB: stream generation,
+# chunk iteration, the kernel state and the compulsory-miss estimate are
+# all O(chunk).  And compiled replay sustains 10^8 references/s while
+# generated C is live.  Without a C compiler the child streams 10^7
+# references: the pure-Python provider would take minutes for 10^9.
+
+RSS_LIMIT_KB = 512 * 1024
+THROUGHPUT_FLOOR = 100e6
+
+
+def _bound_stream(refs: int) -> StridedStream:
+    # a 1.5x-the-cache window: hits mixed with evictions
+    return StridedStream(refs, stride=7, window=3 << 12, chunk=1 << 22)
+
+
+_STREAM_CHILD = """
+import json, resource, sys
+from repro.cache import DirectMappedCache
+from repro.trace.replay import replay
+from tests.trace.test_stream import _bound_stream
+
+refs = int(sys.argv[1])
+result = replay(_bound_stream(refs),
+                DirectMappedCache(num_lines=8192, classify_misses=False),
+                backend="compiled")
+print(json.dumps({
+    "accesses": result.stats.accesses,
+    "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+}))
+"""
+
+
+def test_billion_reference_stream_in_bounded_memory():
+    refs = 10**9 if kernels.has_compiled_provider() else 10**7
+    root = Path(__file__).resolve().parents[2]
+    path = os.pathsep.join(filter(None, (
+        str(Path(repro.__file__).resolve().parents[1]), str(root),
+        os.environ.get("PYTHONPATH"))))
+    child = subprocess.run(
+        [sys.executable, "-c", _STREAM_CHILD, str(refs)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
+    assert child.returncode == 0, child.stderr
+    record = json.loads(child.stdout.splitlines()[-1])
+    assert record["accesses"] == refs
+    assert record["peak_rss_kb"] <= RSS_LIMIT_KB, (
+        f"peak RSS {record['peak_rss_kb']} KB over the "
+        f"{RSS_LIMIT_KB} KB streaming bound")
+
+
+@pytest.mark.skipif(not kernels.has_compiled_provider(),
+                    reason="the floor holds for generated C only")
+def test_compiled_replay_throughput_floor():
+    refs = 100_000_000
+    stream = _bound_stream(refs)
+    best = float("inf")
+    for _ in range(2):
+        cache = DirectMappedCache(num_lines=8192, classify_misses=False)
+        start = time.perf_counter()
+        replay(stream, cache, backend="compiled")
+        best = min(best, time.perf_counter() - start)
+    assert refs / best >= THROUGHPUT_FLOOR, (
+        f"compiled replay {refs / best:.3g} refs/s under the "
+        f"{THROUGHPUT_FLOOR:.3g} floor")
