@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 
+from repro.analytical import batched
 from repro.analytical.base import MachineConfig
 from repro.analytical.cc import CCModel
 
@@ -98,29 +99,22 @@ class SetAssociativeModel(CCModel):
         """Expected stalls over the paper's stride distribution.
 
         Unit stride never over-subscribes a set while ``B <= C``; non-unit
-        strides are uniform on ``2 .. C`` and contribute per gcd class.
+        strides are uniform on ``2 .. C``.  Their sum runs over the gcd
+        classes ``gcd(S, s) = 2^k`` (:mod:`repro.analytical.batched`),
+        exactly, because every per-stride summand is an integer.
         """
         if stride is None or block < 1:
             return 0.0
         if stride != "random":
             return self.self_stalls_for_stride(block, int(stride))
-        c_lines = self.config.cache_lines
-        total = 0.0
-        # classify strides 2..C by g = gcd(sets, s); strides come from the
-        # CC-model's range 2..C = 2..(sets * ways)
-        for s in range(2, c_lines + 1):
-            total += self.self_stalls_for_stride(block, s)
-        return (1.0 - p_stride1) * total / (c_lines - 1)
+        return float(batched._assoc_random_self(
+            block, p_stride1, self.config.cache_lines, self.ways,
+            self.config.t_m))
 
     def expected_footprint(self, block: float, p_stride1: float) -> float:
         """Resident lines of a strided vector: per occupied set, at most
-        ``k`` of its cyclically mapped lines survive."""
-        c_lines = self.config.cache_lines
-        footprint_unit = min(block, float(c_lines))
-        acc = 0.0
-        for s in range(2, c_lines + 1):
-            occupied, full, extra = self._per_set_split(int(block), s)
-            acc += (extra * min(full + 1, self.ways)
-                    + (occupied - extra) * min(full, self.ways))
-        nonunit = acc / (c_lines - 1)
-        return p_stride1 * footprint_unit + (1 - p_stride1) * nonunit
+        ``k`` of its cyclically mapped lines survive (summed per gcd
+        class, as :meth:`self_interference` is)."""
+        return float(batched.cc_expected_footprint_batch(
+            "assoc", block, p_stride1, cache_lines=self.config.cache_lines,
+            ways=self.ways))

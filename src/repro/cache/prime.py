@@ -116,11 +116,15 @@ class PrimeMappedCache(SetAssociativeCache):
         (repeatedly add the low ``c`` bits to the rest, then collapse the
         all-ones alias of zero) computes exactly ``lines mod (2^c - 1)``
         — that congruence is the whole point of the design — so the
-        batched form is a single vectorised modulo.
+        batched form is a vectorised modulo.  It is spelled as a floor
+        division: numpy divides an int64 array by a scalar without a
+        divide instruction (libdivide) but not so its remainder, and the
+        two forms agree on every int64.
         """
         if type(self).set_of is not PrimeMappedCache.set_of:
             return Cache._map_sets_batch(self, lines)
-        return lines % self.modulus.value
+        value = self.modulus.value
+        return lines - lines // value * value
 
     def lines_touched_by_stride(self, stride: int) -> int:
         """Distinct cache lines a long stride-``stride`` word sweep visits.

@@ -304,7 +304,11 @@ def _cmd_figures(args) -> int:
             return 2
         names = [f"{figure_id}-simulated" for figure_id in wanted]
         override = {"seeds": args.seeds, "base_seed": args.base_seed}
-        jobs = _registry({name: override for name in names})
+        try:
+            jobs = _registry({name: override for name in names})
+        except ValueError as error:
+            print(f"cannot run the simulated figures: {error}")
+            return 2
         summary = _run_jobs(jobs, names, workers=_pool_width(args.workers))
         if not summary.ok:
             return 1
@@ -597,10 +601,11 @@ def _registry(overrides: dict | None = None) -> dict:
     """The job registry with ``{job: {param: value}}`` overrides applied
     (a ``None`` value keeps the registry's).  An overridden job caches
     under its own key and has no artifact, so a variant never rewrites
-    a file under ``results/``."""
+    a file under ``results/``; an overridden simulated figure derives
+    its own point jobs."""
     from dataclasses import replace
 
-    from repro.orchestrate import all_jobs
+    from repro.orchestrate import all_jobs, with_points
 
     jobs = all_jobs()
     for name, params in (overrides or {}).items():
@@ -608,8 +613,8 @@ def _registry(overrides: dict | None = None) -> dict:
         merged = {**job.params, **{key: value for key, value in params.items()
                                    if value is not None}}
         if merged != job.params:
-            jobs[name] = replace(job, params=merged, artifact=None,
-                                 render=None)
+            jobs.update((variant.name, variant) for variant in with_points(
+                replace(job, params=merged, artifact=None, render=None)))
     return jobs
 
 

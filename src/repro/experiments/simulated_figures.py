@@ -16,12 +16,20 @@ costs one address expansion, one bank mapping, one cache probe and one C
 timing call — tens of nanoseconds per simulated reference with generated
 C, two orders of magnitude below the per-element reference loop.  That makes the
 *full-reuse* workload (``R = B``, the paper's steady-state assumption)
-the default here.  The canonical jobs (:data:`CANONICAL_FIG7_SIMULATED`,
-:data:`CANONICAL_FIG8_SIMULATED`) take seconds; parallelism comes from
-the runner's process pool, one job per worker.
+the default here.  A figure is the seed-averaged mean of one sample per
+(figure point, machine, seed).  :func:`figure7_simulated` and
+:func:`figure8_simulated` measure every sample in-process.  The
+canonical jobs (:data:`CANONICAL_FIG7_SIMULATED`,
+:data:`CANONICAL_FIG8_SIMULATED`) run each sample as its own job
+(:func:`measure_point`, listed by :func:`figure7_points` /
+:func:`figure8_points`), and the figure job (:func:`assemble_figure7` /
+:func:`assemble_figure8`) averages their results, so the runner's
+process pool shares a figure among its workers.
 """
 
 from __future__ import annotations
+
+import numbers
 
 from repro.analytical.base import MachineConfig
 from repro.analytical.vcm import VCM
@@ -33,8 +41,15 @@ from repro.machine import CCMachine, MMMachine, VCMDriver
 __all__ = [
     "CANONICAL_FIG7_SIMULATED",
     "CANONICAL_FIG8_SIMULATED",
+    "MACHINES",
+    "assemble_figure7",
+    "assemble_figure8",
+    "figure7_points",
     "figure7_simulated",
+    "figure8_points",
     "figure8_simulated",
+    "measure_point",
+    "point_name",
 ]
 
 #: The canonical regeneration parameters of the ``fig7-simulated`` /
@@ -44,19 +59,50 @@ __all__ = [
 CANONICAL_FIG7_SIMULATED = {"seeds": 2, "blocks": 4}
 CANONICAL_FIG8_SIMULATED = {"seeds": 2, "blocks": 2}
 
+#: The three machines of every simulated figure, in curve order.
+MACHINES = ("MM-model", "CC-direct", "CC-prime")
 
-def _machines(t_m: int, num_banks: int) -> dict:
-    """Factories of the three machines at one grid point."""
-    config = MachineConfig(num_banks=num_banks, memory_access_time=t_m,
+#: The most samples one figure may take (the canonical figures take 30
+#: and 24): a larger request is refused before anything is listed.  The
+#: service lists a figure's samples on its event loop, at 4-6 us
+#: each, so this also bounds how long one request can hold the loop.
+MAX_SAMPLES = 1_000
+
+#: The largest value of an integer parameter (a memory access time,
+#: blocking factor, reuse factor, block count or base seed).
+MAX_INT_PARAM = 2**31 - 1
+
+
+def _int_param(name: str, value, least: int = 1) -> int:
+    """``value`` as an int, if it is one (a bool is not) in ``least`` ..
+    :data:`MAX_INT_PARAM`; otherwise a ``ValueError``.
+
+    Every integer parameter passes here before it meets any arithmetic:
+    the service hands a request's values over unchecked, and
+    ``8191 * "ab"`` repeats a string instead of failing.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, not {type(value).__name__}")
+    if not least <= value <= MAX_INT_PARAM:
+        raise ValueError(f"{name} must be in {least}..{MAX_INT_PARAM}, "
+                         f"got {value}")
+    return int(value)
+
+
+def _machine(label: str, t_m: int):
+    """One of the :data:`MACHINES` at memory access time ``t_m``."""
+    config = MachineConfig(num_banks=64, memory_access_time=t_m,
                            cache_lines=DEFAULTS["direct_lines"])
-    prime = config.with_(cache_lines=DEFAULTS["prime_lines"])
-    return {
-        "MM-model": lambda: MMMachine(config),
-        "CC-direct": lambda: CCMachine(config, DirectMappedCache(
-            num_lines=DEFAULTS["direct_lines"], classify_misses=False)),
-        "CC-prime": lambda: CCMachine(
-            prime, PrimeMappedCache(c=13, classify_misses=False)),
-    }
+    if label == "MM-model":
+        return MMMachine(config)
+    if label == "CC-direct":
+        return CCMachine(config, DirectMappedCache(
+            num_lines=DEFAULTS["direct_lines"], classify_misses=False))
+    if label == "CC-prime":
+        return CCMachine(
+            config.with_(cache_lines=DEFAULTS["prime_lines"]),
+            PrimeMappedCache(c=13, classify_misses=False))
+    raise ValueError(f"machine must be one of {MACHINES}, got {label!r}")
 
 
 def _sample_seeds(base_seed: int, seeds: int) -> list[int]:
@@ -68,32 +114,93 @@ def _sample_seeds(base_seed: int, seeds: int) -> list[int]:
     return [base_seed * 1_000_003 + i for i in range(seeds)]
 
 
-def _measure(
-    make_machine, vcm: VCM, seeds: int, blocks: int, base_seed: int = 0,
-) -> float:
-    """Seed-averaged cycles per result for one machine at one grid point."""
-    problem_size = vcm.blocking_factor * blocks
-    return summarize([
-        VCMDriver(make_machine(), seed=seed)
-        .run(vcm, problem_size=problem_size).cycles_per_result
-        for seed in _sample_seeds(base_seed, seeds)]).mean
-
-
 def _vcm(block: int, reuse: int) -> VCM:
     return VCM(blocking_factor=block, reuse_factor=reuse,
                p_ds=DEFAULTS["p_ds"], p_stride1_s1=DEFAULTS["p_stride1"],
                p_stride1_s2=DEFAULTS["p_stride1"])
 
 
-def _curves(points, seeds: int, blocks: int,
-            base_seed: int) -> list[FigureSeries]:
-    """Each machine's measured curve over the ``(t_m, vcm)`` points."""
-    curves: dict[str, list[float]] = {}
-    for t_m, vcm in points:
-        for label, factory in _machines(t_m, num_banks=64).items():
-            curves.setdefault(label, []).append(
-                _measure(factory, vcm, seeds, blocks, base_seed))
-    return [FigureSeries(label, values) for label, values in curves.items()]
+def measure_point(*, machine: str, t_m: int, block: int, reuse: int,
+                  blocks: int, seed: int) -> float:
+    """One sample: cycles per result of ``machine`` at ``t_m`` over
+    ``blocks`` blocks of ``block`` elements, each swept ``reuse`` times,
+    with the driver seeded by ``seed``."""
+    t_m, block = _int_param("t_m", t_m), _int_param("block", block)
+    reuse, blocks = _int_param("reuse", reuse), _int_param("blocks", blocks)
+    return VCMDriver(_machine(machine, t_m), seed=seed).run(
+        _vcm(block, reuse), problem_size=block * blocks).cycles_per_result
+
+
+def point_name(point: dict) -> str:
+    """The job name of one sample: its params, so identical samples
+    share a job and a cache entry."""
+    return "simulated-point:" + ",".join(
+        f"{key}={value}" for key, value in sorted(point.items()))
+
+
+def _samples(grid, seeds: int, blocks: int, base_seed: int) -> list[list]:
+    """Per ``(t_m, block, reuse)`` grid point and machine (in curve
+    order), one sample's params per seed."""
+    seeds, blocks = _int_param("seeds", seeds), _int_param("blocks", blocks)
+    base_seed = _int_param("base_seed", base_seed, least=0)
+    grid = [(_int_param("t_m", t_m), _int_param("block", block),
+             _int_param("reuse", reuse)) for t_m, block, reuse in grid]
+    if seeds * len(grid) * len(MACHINES) > MAX_SAMPLES:
+        raise ValueError(f"a figure takes at most {MAX_SAMPLES} samples, "
+                         f"not {seeds} seeds at {len(grid)} points")
+    seed_list = _sample_seeds(base_seed, seeds)
+    return [[{"machine": label, "t_m": t_m, "block": block,
+              "reuse": reuse, "blocks": blocks, "seed": seed}
+             for seed in seed_list]
+            for t_m, block, reuse in grid for label in MACHINES]
+
+
+def _with_curves(figure: FigureResult, samples, measure) -> FigureResult:
+    """``figure`` with each machine's curve: per point, the mean of its
+    samples' ``measure``."""
+    means = [summarize([measure(sample) for sample in point]).mean
+             for point in samples]
+    figure.series = [FigureSeries(label, means[k::len(MACHINES)])
+                     for k, label in enumerate(MACHINES)]
+    return figure
+
+
+def _figure7(t_m_values=None, *, block: int = 1024, reuse: int | None = None,
+             seeds: int = 8, blocks: int = 6, base_seed: int = 0):
+    """Figure 7 without its curves, and its samples."""
+    t_m_values = list(t_m_values or (8, 16, 32, 48, 64))
+    reuse_factor = block if reuse is None else reuse
+    figure = FigureResult(
+        "fig7-simulated",
+        "Figure 7 regenerated by cycle-level simulation",
+        "memory access time t_m (cycles)", t_m_values,
+        "measured clock cycles per result",
+        notes=f"simulated; M=64, B={block}, R={reuse_factor}, {seeds} seeds",
+    )
+    grid = [(t_m, block, reuse_factor) for t_m in t_m_values]
+    return figure, _samples(grid, seeds, blocks, base_seed)
+
+
+def _figure8(block_values=None, *, t_m: int = 32, reuse: int | None = None,
+             seeds: int = 8, blocks: int = 6, base_seed: int = 0):
+    """Figure 8 without its curves, and its samples."""
+    block_values = list(block_values or (256, 1024, 4096, 8191))
+    figure = FigureResult(
+        "fig8-simulated",
+        "Figure 8 regenerated by cycle-level simulation",
+        "blocking factor B (elements)", block_values,
+        "measured clock cycles per result",
+        notes=(f"simulated; M=64, t_m={t_m}, "
+               f"{'full reuse R=B' if reuse is None else f'R={reuse}'}, "
+               f"{seeds} seeds"),
+    )
+    grid = [(t_m, block, block if reuse is None else reuse)
+            for block in block_values]
+    return figure, _samples(grid, seeds, blocks, base_seed)
+
+
+def _measured(sample: dict) -> float:
+    return measure_point(**sample)
 
 
 def figure7_simulated(
@@ -107,18 +214,9 @@ def figure7_simulated(
     with one block the direct-mapped curve is a single draw of the stride
     lottery and noisy.  ``base_seed`` shifts the whole seed family.
     """
-    t_m_values = list(t_m_values or (8, 16, 32, 48, 64))
-    reuse_factor = block if reuse is None else reuse
-    vcm = _vcm(block, reuse_factor)
-    return FigureResult(
-        "fig7-simulated",
-        "Figure 7 regenerated by cycle-level simulation",
-        "memory access time t_m (cycles)", t_m_values,
-        "measured clock cycles per result",
-        _curves([(t_m, vcm) for t_m in t_m_values], seeds, blocks,
-                base_seed),
-        notes=f"simulated; M=64, B={block}, R={reuse_factor}, {seeds} seeds",
-    )
+    return _with_curves(*_figure7(
+        t_m_values, block=block, reuse=reuse, seeds=seeds, blocks=blocks,
+        base_seed=base_seed), _measured)
 
 
 def figure8_simulated(
@@ -130,16 +228,53 @@ def figure8_simulated(
     ``reuse=None`` runs full reuse per point (``R = B`` for each swept
     blocking factor).
     """
-    block_values = list(block_values or (256, 1024, 4096, 8191))
-    points = [(t_m, _vcm(block, block if reuse is None else reuse))
-              for block in block_values]
-    return FigureResult(
-        "fig8-simulated",
-        "Figure 8 regenerated by cycle-level simulation",
-        "blocking factor B (elements)", block_values,
-        "measured clock cycles per result",
-        _curves(points, seeds, blocks, base_seed),
-        notes=(f"simulated; M=64, t_m={t_m}, "
-               f"{'full reuse R=B' if reuse is None else f'R={reuse}'}, "
-               f"{seeds} seeds"),
-    )
+    return _with_curves(*_figure8(
+        block_values, t_m=t_m, reuse=reuse, seeds=seeds, blocks=blocks,
+        base_seed=base_seed), _measured)
+
+
+def _largest_first(samples) -> list[dict]:
+    """Every sample, the most simulated references (``block * reuse *
+    blocks``) first, so a process pool that takes them in this order
+    ends on short ones."""
+    return sorted((sample for point in samples for sample in point),
+                  key=lambda sample: (sample["block"] * sample["reuse"]
+                                      * sample["blocks"]), reverse=True)
+
+
+def figure7_points(**params) -> list[dict]:
+    """Every sample of ``figure7_simulated(**params)``, largest first."""
+    return _largest_first(_figure7(**params)[1])
+
+
+def figure8_points(**params) -> list[dict]:
+    """Every sample of ``figure8_simulated(**params)``, largest first."""
+    return _largest_first(_figure8(**params)[1])
+
+
+def assemble_figure7(
+    points, /, t_m_values=None, *, block: int = 1024,
+    reuse: int | None = None, seeds: int = 8, blocks: int = 6,
+    base_seed: int = 0,
+) -> FigureResult:
+    """:func:`figure7_simulated` from its samples' results, ``points``
+    mapping each :func:`point_name` to its :func:`measure_point`."""
+    figure, samples = _figure7(t_m_values, block=block, reuse=reuse,
+                               seeds=seeds, blocks=blocks,
+                               base_seed=base_seed)
+    return _with_curves(figure, samples,
+                        lambda sample: points[point_name(sample)])
+
+
+def assemble_figure8(
+    points, /, block_values=None, *, t_m: int = 32,
+    reuse: int | None = None, seeds: int = 8, blocks: int = 6,
+    base_seed: int = 0,
+) -> FigureResult:
+    """:func:`figure8_simulated` from its samples' results, ``points``
+    mapping each :func:`point_name` to its :func:`measure_point`."""
+    figure, samples = _figure8(block_values, t_m=t_m, reuse=reuse,
+                               seeds=seeds, blocks=blocks,
+                               base_seed=base_seed)
+    return _with_curves(figure, samples,
+                        lambda sample: points[point_name(sample)])

@@ -733,8 +733,9 @@ void repro_belady_opt(const int64_t *lines, const int64_t *sets,
 }
 """
 
-_I64 = ctypes.POINTER(ctypes.c_int64)
-_U8 = ctypes.POINTER(ctypes.c_uint8)
+# arrays travel as raw addresses (``arr.ctypes.data``), which costs about
+# half a typed ``data_as`` cast per call; the C side declares their types
+_I64 = _U8 = ctypes.c_void_p
 _N = ctypes.c_int64
 
 # argtype tables for the exported entry points
@@ -789,14 +790,9 @@ def _find_compiler() -> str | None:
     return None
 
 
-def _i64(arr: np.ndarray):
-    return arr.ctypes.data_as(_I64)
-
-
-def _u8(arr: np.ndarray | None):
-    if arr is None:
-        return None
-    return arr.ctypes.data_as(_U8)
+def _ptr(arr: np.ndarray | None) -> int | None:
+    """The address of a contiguous array's data (``None``: NULL)."""
+    return None if arr is None else arr.ctypes.data
 
 
 class _CExtProvider:
@@ -817,9 +813,9 @@ class _CExtProvider:
                       dirty, hits_out):
         out = np.zeros(3, dtype=np.int64)
         self._lib.repro_replay_oneway(
-            _i64(lines), _i64(sets), _u8(writes), lines.size,
-            int(write_allocate), _i64(current), _u8(dirty), _u8(hits_out),
-            _i64(out),
+            _ptr(lines), _ptr(sets), _ptr(writes), lines.size,
+            int(write_allocate), _ptr(current), _ptr(dirty), _ptr(hits_out),
+            _ptr(out),
         )
         return int(out[0]), int(out[1]), int(out[2])
 
@@ -827,9 +823,9 @@ class _CExtProvider:
                      lru, tick, tags, stamps, dirty, hits_out):
         out = np.zeros(4, dtype=np.int64)
         self._lib.repro_replay_assoc(
-            _i64(lines), _i64(sets), _u8(writes), lines.size, num_ways,
-            int(write_allocate), int(lru), tick, _i64(tags), _i64(stamps),
-            _u8(dirty), _u8(hits_out), _i64(out),
+            _ptr(lines), _ptr(sets), _ptr(writes), lines.size, num_ways,
+            int(write_allocate), int(lru), tick, _ptr(tags), _ptr(stamps),
+            _ptr(dirty), _ptr(hits_out), _ptr(out),
         )
         return int(out[0]), int(out[1]), int(out[2]), int(out[3])
 
@@ -838,11 +834,11 @@ class _CExtProvider:
         out = np.zeros(6, dtype=np.int64)
         levels = []
         for ways, lru, tick, tags, stamps, dirty in (l1, l2):
-            levels += [_i64(tags), None if stamps is None else _i64(stamps),
-                       _u8(dirty), tags.size // ways, ways, lru, tick]
+            levels += [_ptr(tags), _ptr(stamps), _ptr(dirty),
+                       tags.size // ways, ways, lru, tick]
         if self._lib.repro_replay_two_level(
-                _i64(lines), _i64(sets), _u8(writes), lines.size,
-                write_allocate, *levels, _u8(hits_out), _i64(out)):
+                _ptr(lines), _ptr(sets), _ptr(writes), lines.size,
+                write_allocate, *levels, _ptr(hits_out), _ptr(out)):
             raise ValueError(BAD_L1_SETS)
         return tuple(int(value) for value in out)
 
@@ -854,54 +850,54 @@ class _CExtProvider:
                               dtype=np.int64)
         count = np.zeros(1, dtype=np.int64)
         if self._lib.repro_stack_hits(
-                _i64(lines), lines.size, _i64(recent), recent.size, capacity,
-                _u8(hits.view(np.uint8)), _u8(cold_out), _i64(new_recent),
-                _i64(count)):
+                _ptr(lines), lines.size, _ptr(recent), recent.size, capacity,
+                _ptr(hits), _ptr(cold_out), _ptr(new_recent),
+                _ptr(count)):
             raise MemoryError("stack_hits scratch allocation failed")
         return hits, new_recent[:int(count[0])]
 
     def mm_timing(self, banks, writes, t_m, free_at, counts, state):
         self._lib.repro_mm_timing(
-            _i64(banks), _u8(writes), banks.size, t_m, _i64(free_at),
-            _i64(counts), _i64(state),
+            _ptr(banks), _ptr(writes), banks.size, t_m, _ptr(free_at),
+            _ptr(counts), _ptr(state),
         )
 
     def cc_timing(self, banks, writes, hits, kinds, mem_t_m, cc_t_m,
                   compulsory, free_at, counts, state):
         self._lib.repro_cc_timing(
-            _i64(banks), _u8(writes), _u8(hits), _u8(kinds), banks.size,
-            mem_t_m, cc_t_m, compulsory, _i64(free_at), _i64(counts),
-            _i64(state),
+            _ptr(banks), _ptr(writes), _ptr(hits), _ptr(kinds), banks.size,
+            mem_t_m, cc_t_m, compulsory, _ptr(free_at), _ptr(counts),
+            _ptr(state),
         )
 
     def pair_flat(self, b1, b2, h1, h2, paired, mvl, overhead, t_m, pen1,
                   pen2, free_at, counts, state):
         self._lib.repro_pair_flat(
-            _i64(b1), _i64(b2), _u8(h1), _u8(h2), b1.size, paired, mvl,
-            overhead, t_m, pen1, pen2, _i64(free_at), _i64(counts),
-            _i64(state),
+            _ptr(b1), _ptr(b2), _ptr(h1), _ptr(h2), b1.size, paired, mvl,
+            overhead, t_m, pen1, pen2, _ptr(free_at), _ptr(counts),
+            _ptr(state),
         )
 
     def op_addresses(self, rows, n_load, n_refs):
         out = np.empty(n_refs, dtype=np.int64)
-        if self._lib.repro_op_addresses(_i64(rows), len(rows), n_load,
-                                        n_refs, _i64(out)):
+        if self._lib.repro_op_addresses(_ptr(rows), len(rows), n_load,
+                                        n_refs, _ptr(out)):
             raise ValueError(BAD_OP_ROWS)
         return out
 
     def op_timing(self, rows, n_load, banks, hits, mvl, overhead,
                   cached_overhead, t_bank, penalty, free_at, counts, state):
         if self._lib.repro_op_timing(
-                _i64(rows), len(rows), n_load, _i64(banks), banks.size,
-                _u8(hits), mvl, overhead, cached_overhead, t_bank, penalty,
-                free_at.size, _i64(free_at), _i64(counts), _i64(state)):
+                _ptr(rows), len(rows), n_load, _ptr(banks), banks.size,
+                _ptr(hits), mvl, overhead, cached_overhead, t_bank, penalty,
+                free_at.size, _ptr(free_at), _ptr(counts), _ptr(state)):
             raise ValueError(BAD_OP_ROWS)
 
     def belady_opt(self, lines, sets, next_use, num_ways, tags, nu, ins):
         out = np.zeros(3, dtype=np.int64)
         self._lib.repro_belady_opt(
-            _i64(lines), _i64(sets), _i64(next_use), lines.size, num_ways,
-            _i64(tags), _i64(nu), _i64(ins), _i64(out),
+            _ptr(lines), _ptr(sets), _ptr(next_use), lines.size, num_ways,
+            _ptr(tags), _ptr(nu), _ptr(ins), _ptr(out),
         )
         return int(out[0]), int(out[1]), int(out[2])
 

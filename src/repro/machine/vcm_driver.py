@@ -79,20 +79,42 @@ class VCMDriver:
     def __init__(self, machine: VectorMachine, seed: int = 0) -> None:
         self.machine = machine
         self._rng = random.Random(seed)
+        self._random = self._rng.random
+        self._getrandbits = self._rng.getrandbits
+        # a random stride is 2 + a draw below M - 1
+        self._stride_span = machine.stride_modulus - 1
+        self._base_bits = self.ADDRESS_SPACE.bit_length()
 
     # -- draws -------------------------------------------------------------------
+    #
+    # ``randint(2, M)`` and ``randrange(2**28)`` reduce to CPython's
+    # ``_randbelow_with_getrandbits``: draw ``n.bit_length()`` bits and
+    # redraw while the value is ``>= n``.  The draws below run that loop
+    # inline, so they consume the generator exactly as those calls do.
 
     def _draw_stride(self, spec, p_stride1: float) -> int:
         if isinstance(spec, int):
             return spec
         if spec != "random":
             raise ValueError(f"cannot draw a stride from spec {spec!r}")
-        if self._rng.random() < p_stride1:
+        if self._random() < p_stride1:
             return 1
-        return self._rng.randint(2, self.machine.stride_modulus)
+        span = self._stride_span
+        if span < 1:
+            raise ValueError(f"no random stride in 2..{span + 1}")
+        getrandbits, bits = self._getrandbits, span.bit_length()
+        r = getrandbits(bits)
+        while r >= span:
+            r = getrandbits(bits)
+        return 2 + r
 
     def _draw_base(self) -> int:
-        return self._rng.randrange(self.ADDRESS_SPACE)
+        getrandbits, space = self._getrandbits, self.ADDRESS_SPACE
+        bits = self._base_bits
+        r = getrandbits(bits)
+        while r >= space:
+            r = getrandbits(bits)
+        return r
 
     # -- block synthesis -----------------------------------------------------------
 
@@ -130,8 +152,10 @@ class VCMDriver:
             rows[:, COUNTS1] = 1
             return OpTable(rows)
         # per sweep the second vector's stride, then its base
+        draw_stride, draw_base = self._draw_stride, self._draw_base
+        spec, p_stride1 = vcm.s2, vcm.p_stride1_s2
         seconds = np.array(
-            [(self._draw_stride(vcm.s2, vcm.p_stride1_s2), self._draw_base())
+            [(draw_stride(spec, p_stride1), draw_base())
              for _ in range(reuse)], dtype=np.int64)
         # one sweep's rows: the pieces of the first vector, the last one
         # paired with the second vector (which streams in and counts no

@@ -34,6 +34,7 @@ from repro.orchestrate.jobs import (
     default_sweep,
     figure_job_names,
     smoke_sweep,
+    with_points,
 )
 from repro.orchestrate.runlog import RunLog, read_events
 from repro.orchestrate.runner import JobOutcome, Runner, RunSummary
@@ -59,6 +60,7 @@ __all__ = [
     "read_events",
     "resolve",
     "smoke_sweep",
+    "with_points",
 ]
 
 

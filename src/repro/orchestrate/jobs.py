@@ -11,9 +11,15 @@ depend on, so the content-addressed cache invalidates exactly the
 results a code change can move — and nothing else.  The claims each
 job's result must show are in :data:`repro.experiments.checks.CHECKERS`.
 
+The machine-measured figures ``fig7-simulated``/``fig8-simulated`` are
+assembled from one point job per (figure point, machine, seed), which
+:func:`with_points` derives from the figure job's params — for the
+registry and for every override of it alike.
+
 Selections:
 
-* :func:`default_sweep` — everything above.
+* :func:`default_sweep` — everything above (the point jobs run as
+  dependencies of their figure).
 * :func:`smoke_sweep` — two small machine-measured figure jobs and a
   small zoo study, used by CI to exercise the cold-run → warm-cache
   path in seconds.
@@ -21,9 +27,10 @@ Selections:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
-from repro.orchestrate.job import Job
+from repro.orchestrate.job import Job, resolve
 
 __all__ = [
     "RESULTS_DIR",
@@ -31,6 +38,7 @@ __all__ = [
     "default_sweep",
     "figure_job_names",
     "smoke_sweep",
+    "with_points",
 ]
 
 #: The repo's committed results directory (…/repro/results).
@@ -93,6 +101,20 @@ _STUDY_FNS = {
     "programs": ("program_study", _ABLATION, _TABLE),
 }
 
+_SIMULATED_FIGURES = "repro.experiments.simulated_figures"
+
+#: Figures assembled from point jobs: the figure job's function -> the
+#: function listing its samples' params, largest first.
+_POINT_FIGURES = {
+    f"{_SIMULATED_FIGURES}:assemble_figure7":
+        f"{_SIMULATED_FIGURES}:figure7_points",
+    f"{_SIMULATED_FIGURES}:assemble_figure8":
+        f"{_SIMULATED_FIGURES}:figure8_points",
+}
+
+#: The function of every point job.
+_POINT_FN = f"{_SIMULATED_FIGURES}:measure_point"
+
 #: Cache-zoo studies (docs/cache-zoo.md): job name -> study function.
 _ZOO_FNS = {
     "zoo-bicameral-vs-prime": "zoo_bicameral_vs_prime",
@@ -105,6 +127,29 @@ _ZOO_FNS = {
 def figure_job_names() -> tuple[str, ...]:
     """The analytical paper-figure jobs."""
     return tuple(_FIGURE_FNS)
+
+
+def with_points(job: Job) -> list[Job]:
+    """``job`` followed by the point jobs it is assembled from.
+
+    A figure measured one sample at a time (``fig7-simulated``,
+    ``fig8-simulated`` and any override of them) depends on one job per
+    (figure point, machine, seed), derived here from the figure job's
+    params, so an override derives its own points.  Each point job is
+    named from its own params (``point_name``), so variants that share a
+    sample share its job and its cache entry; the points keep the
+    lister's order (largest first).  Any other job comes back alone.
+    """
+    lister = _POINT_FIGURES.get(job.fn)
+    if lister is None:
+        return [job]
+    from repro.experiments.simulated_figures import point_name
+
+    points = {point_name(point): point
+              for point in resolve(lister)(**job.params)}
+    return [replace(job, deps=tuple(points)),
+            *(Job(name=name, fn=_POINT_FN, params=point, modules=_SIMULATED)
+              for name, point in points.items())]
 
 
 def all_jobs() -> dict[str, Job]:
@@ -174,22 +219,17 @@ def all_jobs() -> dict[str, Job]:
             artifact=f"{job_name.replace('-', '_')}.txt",
         ))
 
-    jobs.append(Job(
-        name="fig7-simulated",
-        fn="repro.experiments.simulated_figures:figure7_simulated",
-        params=dict(CANONICAL_FIG7_SIMULATED),
-        modules=_SIMULATED,
-        render="repro.experiments.render:render_figure",
-        artifact="fig7_simulated.txt",
-    ))
-    jobs.append(Job(
-        name="fig8-simulated",
-        fn="repro.experiments.simulated_figures:figure8_simulated",
-        params=dict(CANONICAL_FIG8_SIMULATED),
-        modules=_SIMULATED,
-        render="repro.experiments.render:render_figure",
-        artifact="fig8_simulated.txt",
-    ))
+    for figure_id, assemble, params in (
+            ("fig7", "assemble_figure7", CANONICAL_FIG7_SIMULATED),
+            ("fig8", "assemble_figure8", CANONICAL_FIG8_SIMULATED)):
+        jobs += with_points(Job(
+            name=f"{figure_id}-simulated",
+            fn=f"{_SIMULATED_FIGURES}:{assemble}",
+            params=dict(params),
+            modules=_SIMULATED,
+            render="repro.experiments.render:render_figure",
+            artifact=f"{figure_id}_simulated.txt",
+        ))
 
     jobs.append(Job(
         name="report",
@@ -227,16 +267,17 @@ def all_jobs() -> dict[str, Job]:
     ))
 
     # CI smoke pair: tiny machine-measured figure points, heavy enough
-    # (a few seconds) that the warm-cache speedup is unambiguous
+    # (a few seconds) that the warm-cache speedup is unambiguous; each
+    # stays one job, its samples measured in-process
     jobs.append(Job(
         name="smoke-fig7-simulated",
-        fn="repro.experiments.simulated_figures:figure7_simulated",
+        fn=f"{_SIMULATED_FIGURES}:figure7_simulated",
         params={"t_m_values": (8, 32, 64), "seeds": 1, "blocks": 2},
         modules=_SIMULATED,
     ))
     jobs.append(Job(
         name="smoke-fig8-simulated",
-        fn="repro.experiments.simulated_figures:figure8_simulated",
+        fn=f"{_SIMULATED_FIGURES}:figure8_simulated",
         params={"block_values": (256, 1024), "seeds": 1, "blocks": 2},
         modules=_SIMULATED,
     ))
@@ -260,8 +301,10 @@ _NON_DEFAULT = ("optimize-search", "optimize-verify",
 
 
 def default_sweep() -> tuple[str, ...]:
-    """The full-figure-set selection ``repro sweep`` runs by default."""
-    return tuple(name for name in all_jobs() if name not in _NON_DEFAULT)
+    """The full-figure-set selection ``repro sweep`` runs by default
+    (point jobs run as their figures' dependencies)."""
+    return tuple(name for name, job in all_jobs().items()
+                 if name not in _NON_DEFAULT and job.fn != _POINT_FN)
 
 
 def smoke_sweep() -> tuple[str, ...]:

@@ -43,6 +43,7 @@ from typing import Any, Mapping
 
 from repro.orchestrate.fingerprint import canonical_params
 from repro.orchestrate.job import Job, resolve
+from repro.orchestrate.jobs import with_points
 from repro.serve.queries import check_trace_params
 
 __all__ = ["ProtocolError", "Query", "normalise"]
@@ -82,12 +83,16 @@ def _params_digest(params: Mapping[str, Any]) -> str:
 
 
 def _check_params(fn_ref: str, params: Mapping[str, Any]) -> None:
-    """Reject unknown parameter names up front (400, not a job failure)."""
+    """Reject unknown parameter names up front (400, not a job failure).
+
+    A positional-only parameter is not one: it receives a dependent
+    job's inputs."""
     signature = inspect.signature(resolve(fn_ref))
     if any(p.kind is inspect.Parameter.VAR_KEYWORD
            for p in signature.parameters.values()):
         return  # **kwargs accepts anything
-    allowed = set(signature.parameters)
+    allowed = {name for name, p in signature.parameters.items()
+               if p.kind is not inspect.Parameter.POSITIONAL_ONLY}
     unknown = sorted(set(params) - allowed)
     if unknown:
         raise ProtocolError(f"unknown parameters {unknown}; "
@@ -116,8 +121,12 @@ def _registry_job(body: dict, registry: Mapping[str, Job]) -> Query:
     _check_params(base.fn, overrides)
     derived = replace(base, name=f"{name}@{_params_digest(overrides)}",
                       params={**base.params, **overrides})
+    try:
+        variant = with_points(derived)
+    except (TypeError, ValueError) as error:
+        raise ProtocolError(f"params of {name!r}: {error}") from None
     jobs = dict(registry)
-    jobs[derived.name] = derived
+    jobs.update((job.name, job) for job in variant)
     return Query(names=(derived.name,), jobs=jobs)
 
 

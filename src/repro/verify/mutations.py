@@ -18,7 +18,8 @@ birthday-paradox expectation with an off-by-one exponent, an LRU that
 stops refreshing recency on hits in every engine at once, a stack
 distance test that counts a distance equal to the capacity as a shadow
 hit, a two-level replay kernel that leaves an L2 victim's L1 copy
-resident) and, for
+resident, a set-associative gcd-class count that keeps stride 1 among
+the random strides) and, for
 each, temporarily monkey-patches the fault in, re-runs the oracle
 sweep, and records which oracles noticed.  A mutation nobody catches is
 a *hole* in the verification net and fails the run.
@@ -370,6 +371,24 @@ def _two_level_back_invalidation_dropped():
         yield
 
 
+@contextmanager
+def _assoc_class_count_shifted():
+    import numpy as np
+
+    from repro.analytical import batched
+
+    original = batched._assoc_class_axes
+
+    def bad_class_axes(cache_lines, ways):
+        # class 0 counts every odd stride up to C, stride 1 included,
+        # though the random strides run over 2 .. C
+        k, count, occupied, valid = original(cache_lines, ways)
+        return k, count + np.where(k == 0, 1, 0), occupied, valid
+
+    with _patched(batched, "_assoc_class_axes", bad_class_axes):
+        yield
+
+
 MUTATIONS: dict[str, Mutation] = {
     m.name: m
     for m in (
@@ -464,6 +483,12 @@ MUTATIONS: dict[str, Mutation] = {
             "resident, breaking the hierarchy's inclusion",
             ("cache-zoo", "kernel-backend"),
             _two_level_back_invalidation_dropped),
+        Mutation(
+            "assoc-class-count-shifted",
+            "the set-associative gcd-class sums count stride 1 in the odd "
+            "class, though random strides run over 2 .. C",
+            ("analytical-batched",),
+            _assoc_class_count_shifted),
     )
 }
 

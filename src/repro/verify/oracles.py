@@ -31,7 +31,9 @@ geometry law):
   (:mod:`repro.analytical.batched`) against the scalar analytical stack
   it mirrors, element-wise over grids that always batch several
   distinct ``t_m`` values per call so broadcast-collapse faults cannot
-  hide behind a uniform axis.
+  hide behind a uniform axis.  The set-associative model evaluates its
+  random-stride sums with the same gcd-class code, so its reference here
+  is :class:`StrideEnumeratedAssocModel`, which sums stride by stride.
 * ``lru-stack`` — an independent LRU witness: Mattson stack distances
   (:func:`repro.kernels.stack_hits` on both providers, per set of a
   stable sort by set) against the hit bitmaps of direct, prime, hashed
@@ -87,7 +89,8 @@ from repro.memory.banks import (
     SkewedInterleave,
 )
 
-__all__ = ["Oracle", "ORACLES", "Divergence", "default_oracles"]
+__all__ = ["Oracle", "ORACLES", "Divergence", "StrideEnumeratedAssocModel",
+           "default_oracles"]
 
 #: ``(metric, expected, actual, detail)`` — one diverging value.
 Divergence = tuple
@@ -1149,6 +1152,13 @@ def _analytical_batched_cases(mode: str, rng: random.Random) -> list[dict]:
          "banks": 32, "t_m_values": [4, 16, 64], "block": 4096,
          "reuse": 4096.0, "p_ds": 0.1, "footprint_mode": "simple",
          "seed": 0},
+        # pinned: a set-associative point whose gcd-class sums all count,
+        # odd strides included (B > C over-subscribes their sets, and the
+        # expected footprint feeds the cross-interference term)
+        {"kind": "cc", "mapping": "assoc", "lines": 64, "ways": 2,
+         "banks": 32, "t_m_values": [8, 32], "block": 1024,
+         "reuse": 8.0, "p_ds": 0.1, "footprint_mode": "expected",
+         "seed": 0},
         {"kind": "congruence-batch", "count": 64, "seed": 0},
     ]
     for _ in range(rounds):
@@ -1193,6 +1203,30 @@ def _analytical_batched_cases(mode: str, rng: random.Random) -> list[dict]:
     return cases
 
 
+class StrideEnumeratedAssocModel(SetAssociativeModel):
+    """:class:`SetAssociativeModel` with its random-stride sums taken
+    stride by stride over ``2 .. C``: the reference for the gcd-class
+    sums the model itself evaluates (:mod:`repro.analytical.batched`)."""
+
+    def self_interference(self, block, p_stride1, stride):
+        if stride != "random" or block < 1:
+            return super().self_interference(block, p_stride1, stride)
+        c_lines = self.config.cache_lines
+        total = sum(self.self_stalls_for_stride(block, s)
+                    for s in range(2, c_lines + 1))
+        return (1.0 - p_stride1) * total / (c_lines - 1)
+
+    def expected_footprint(self, block, p_stride1):
+        c_lines = self.config.cache_lines
+        resident = 0
+        for s in range(2, c_lines + 1):
+            occupied, full, extra = self._per_set_split(int(block), s)
+            resident += (extra * min(full + 1, self.ways)
+                         + (occupied - extra) * min(full, self.ways))
+        return (p_stride1 * min(block, float(c_lines))
+                + (1 - p_stride1) * (resident / (c_lines - 1)))
+
+
 def _batched_scalar_model(mapping: str, config, ways: int,
                           footprint_mode: str = "simple"):
     from repro.analytical.cc import DirectMappedModel, PrimeMappedModel
@@ -1201,7 +1235,8 @@ def _batched_scalar_model(mapping: str, config, ways: int,
         return DirectMappedModel(config, footprint_mode=footprint_mode)
     if mapping == "prime":
         return PrimeMappedModel(config, footprint_mode=footprint_mode)
-    return SetAssociativeModel(config, ways, footprint_mode=footprint_mode)
+    return StrideEnumeratedAssocModel(config, ways,
+                                      footprint_mode=footprint_mode)
 
 
 def _check_analytical_batched(config: dict) -> list[Divergence]:
@@ -1790,7 +1825,8 @@ ORACLES: dict[str, Oracle] = {
             _kernel_backend_cases, _check_kernel_backend),
         Oracle(
             "analytical-batched",
-            "vectorised surrogate engine vs the scalar analytical stack, "
+            "vectorised surrogate engine vs the scalar analytical stack "
+            "(set-associative sums enumerated stride by stride), "
             "element-wise over multi-t_m grids",
             _analytical_batched_cases, _check_analytical_batched),
         Oracle(

@@ -34,8 +34,8 @@ from repro.analytical.optimize import (
     crossover_memory_time,
     optimal_blocking_factor,
 )
-from repro.analytical.set_assoc import SetAssociativeModel
 from repro.analytical.vcm import VCM
+from repro.verify.oracles import StrideEnumeratedAssocModel
 
 RTOL = 1e-9
 
@@ -45,7 +45,10 @@ def model_for(mapping, config, ways=1, footprint_mode="simple"):
         return DirectMappedModel(config, footprint_mode=footprint_mode)
     if mapping == "prime":
         return PrimeMappedModel(config, footprint_mode=footprint_mode)
-    return SetAssociativeModel(config, ways, footprint_mode=footprint_mode)
+    # the model's own random-stride sums are the batched class sums, so
+    # the reference enumerates the strides one by one
+    return StrideEnumeratedAssocModel(config, ways,
+                                      footprint_mode=footprint_mode)
 
 
 MODEL_GRID = [

@@ -109,3 +109,25 @@ class TestAssociativitySweep:
         eq5 = DirectMappedModel(config()).cycles_per_result(vcm)
         assert cyclic >= eq5 - 1e-9
         assert cyclic < 3 * eq5
+
+
+class TestGcdClassSums:
+    @pytest.mark.parametrize("cache_lines,ways", [
+        (64, 1), (64, 2), (64, 64), (1024, 8), (8192, 4)])
+    def test_equal_to_stride_enumeration(self, cache_lines, ways):
+        """The random-stride sums run over gcd classes; every summand is
+        an integer, so they equal the stride-by-stride sums bit for bit."""
+        from repro.verify.oracles import StrideEnumeratedAssocModel
+
+        cfg = config(cache_lines=cache_lines, memory_access_time=32)
+        model = SetAssociativeModel(cfg, ways=ways)
+        reference = StrideEnumeratedAssocModel(cfg, ways=ways)
+        for block in (1, 63, cache_lines // 2, 819.1, cache_lines,
+                      3 * cache_lines):
+            for p_stride1 in (0.0, 0.25, 1.0):
+                got = model.self_interference(block, p_stride1, "random")
+                assert type(got) is float
+                assert got == reference.self_interference(
+                    block, p_stride1, "random"), (block, p_stride1)
+                assert model.expected_footprint(block, p_stride1) == \
+                    reference.expected_footprint(block, p_stride1)

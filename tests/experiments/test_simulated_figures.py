@@ -3,8 +3,11 @@
 import pytest
 
 from repro.experiments.simulated_figures import (
+    figure7_points,
     figure7_simulated,
+    figure8_points,
     figure8_simulated,
+    measure_point,
 )
 from repro.experiments.stats import Summary, summarize
 
@@ -120,3 +123,31 @@ class TestSeedStability:
                               base_seed=3)
         for series_a, series_b in zip(a.series, b.series):
             assert series_a.values == series_b.values
+
+
+class TestParamChecks:
+    """Integer params are checked before any arithmetic touches them."""
+
+    @pytest.mark.parametrize("params", [
+        {"blocks": "aaaa"}, {"blocks": [1, 2]}, {"reuse": "ab"},
+        {"base_seed": "x"}, {"base_seed": -1}, {"seeds": True},
+        {"seeds": 2.0}, {"seeds": 0}, {"t_m_values": ["8"]}, {"block": 0},
+        {"blocks": 2**31}, {"seeds": 334},
+    ])
+    def test_bad_params_are_refused(self, params):
+        with pytest.raises(ValueError):
+            figure7_points(**{"t_m_values": [8], "block": 4, **params})
+
+    def test_bad_point_params_are_refused(self):
+        point = {"machine": "MM-model", "t_m": 8, "block": 4, "reuse": 1,
+                 "blocks": 1, "seed": 0}
+        for key, value in (("blocks", "aaaa"), ("block", [4]),
+                           ("t_m", True), ("reuse", 0)):
+            with pytest.raises(ValueError, match=key):
+                measure_point(**{**point, key: value})
+
+    def test_points_are_listed_largest_first(self):
+        points = figure8_points(block_values=[256, 1024], seeds=1, blocks=2)
+        assert [point["block"] for point in points] == [1024] * 3 + [256] * 3
+        assert [point["machine"] for point in points[:3]] == [
+            "MM-model", "CC-direct", "CC-prime"]

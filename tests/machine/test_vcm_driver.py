@@ -1,5 +1,8 @@
 """Tests for the VCM workload driver."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.analytical.base import MachineConfig
@@ -69,6 +72,46 @@ class TestDriverMechanics:
         driver = VCMDriver(mm_machine())
         with pytest.raises(ValueError):
             driver._draw_stride(None, 0.5)
+
+
+class TestStdlibDraws:
+    """The driver draws through ``getrandbits`` with CPython's own
+    rejection loop, so its draws must be the standard library's."""
+
+    # powers of two (a stride draw below M - 1 rarely rejects, a base
+    # draw below ADDRESS_SPACE = 2**28 rejects about half the time), one
+    # above a power of two (half of the stride draws reject too), and
+    # primes
+    @pytest.mark.parametrize("modulus",
+                             [2, 3, 8, 31, 64, 65, 127, 8191, 8192])
+    @pytest.mark.parametrize("p_stride1", [0.0, 0.25])
+    def test_draws_equal_random_random(self, modulus, p_stride1):
+        for seed in range(40):
+            # the draws read only the machine's stride modulus
+            driver = VCMDriver(SimpleNamespace(stride_modulus=modulus),
+                               seed=seed)
+            stdlib = random.Random(seed)
+            for _ in range(25):
+                stride = driver._draw_stride("random", p_stride1)
+                expected = (1 if stdlib.random() < p_stride1
+                            else stdlib.randint(2, modulus))
+                assert stride == expected, (seed, modulus)
+                assert driver._draw_base() == stdlib.randrange(
+                    VCMDriver.ADDRESS_SPACE)
+
+    def test_no_random_stride_below_two_raises(self):
+        # one bank is a valid machine, but randint(2, 1) has no value;
+        # the draw must raise, not spin on getrandbits(0) == 0
+        machine = MMMachine(MachineConfig(num_banks=1))
+        with pytest.raises(ValueError):
+            VCMDriver(machine, seed=0)._draw_stride("random", 0.0)
+        with pytest.raises(ValueError):
+            VCMDriver(machine, seed=0).run(
+                VCM(blocking_factor=8, reuse_factor=2, p_ds=0.0,
+                    p_stride1_s1=0.0, s2=None))
+        fixed = VCM(blocking_factor=8, reuse_factor=2, p_ds=0.0, s1=3,
+                    s2=None)
+        assert VCMDriver(machine, seed=0).run(fixed).cycles_per_result > 1
 
 
 #: The first block of ``VCM(B=40, R=3, p_ds)`` at two seeds, captured

@@ -77,3 +77,72 @@ class TestRegistry:
         jobs = all_jobs()
         assert jobs["fig7-simulated"].params == CANONICAL_FIG7_SIMULATED
         assert jobs["fig8-simulated"].params == CANONICAL_FIG8_SIMULATED
+
+
+class TestPointJobs:
+    """The canonical simulated figures are assembled from one job per
+    (figure point, machine, seed), derived from the figure's params."""
+
+    def test_default_sweep_keeps_its_names(self):
+        jobs = all_jobs()
+        default = default_sweep()
+        assert len(default) == 36
+        point_fn = "repro.experiments.simulated_figures:measure_point"
+        assert not any(jobs[name].fn == point_fn for name in default)
+        for twin in ("smoke-fig7-simulated", "smoke-fig8-simulated"):
+            assert jobs[twin].deps == ()
+        assert len(jobs["fig7-simulated"].deps) == 5 * 3 * 2
+        assert len(jobs["fig8-simulated"].deps) == 4 * 3 * 2
+
+    def test_points_are_registered_largest_first(self):
+        jobs = all_jobs()
+        points = [jobs[name].params for name in jobs["fig8-simulated"].deps]
+        assert [p["block"] for p in points] == sorted(
+            (p["block"] for p in points), reverse=True)
+        assert points[0] == {"machine": "MM-model", "t_m": 32,
+                             "block": 8191, "reuse": 8191, "blocks": 2,
+                             "seed": 0}
+
+    def test_override_derives_its_own_points(self, tmp_path):
+        """Three seeds reuse the canonical two seeds' points, under the
+        canonical keys, and add their own."""
+        from dataclasses import replace
+
+        from repro.orchestrate import with_points
+
+        jobs = all_jobs()
+        canonical = jobs["fig7-simulated"]
+        variant, *points = with_points(replace(
+            canonical, name="fig7-simulated@3",
+            params={**canonical.params, "seeds": 3}))
+        assert variant.deps == tuple(point.name for point in points)
+        assert len(points) == 5 * 3 * 3
+        shared = set(canonical.deps) & set(variant.deps)
+        assert shared == set(canonical.deps)
+        jobs.update((job.name, job) for job in (variant, *points))
+        runner = Runner(jobs.values(), store=ResultStore(tmp_path))
+        _, keys = runner.plan(["fig7-simulated", variant.name])
+        _, canonical_keys = Runner(
+            all_jobs().values(), store=ResultStore(tmp_path)).plan(
+            ["fig7-simulated"])
+        assert {name: keys[name] for name in shared} == {
+            name: canonical_keys[name] for name in shared}
+        assert keys[variant.name] != keys["fig7-simulated"]
+
+    def test_assembled_figure_equals_the_in_process_figure(self, tmp_path):
+        import pickle
+        from dataclasses import replace
+
+        from repro.experiments.simulated_figures import figure7_simulated
+        from repro.orchestrate import with_points
+
+        params = {"t_m_values": [8], "seeds": 1, "blocks": 1}
+        jobs = all_jobs()
+        variant = with_points(replace(
+            jobs["fig7-simulated"], name="fig7-small",
+            params={**jobs["fig7-simulated"].params, **params}))
+        summary = Runner(variant, store=ResultStore(tmp_path)).run(
+            ["fig7-small"])
+        assert summary.ok and summary.count("ran") == 4
+        assert pickle.dumps(summary.results["fig7-small"]) == pickle.dumps(
+            figure7_simulated(**params))

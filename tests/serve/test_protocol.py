@@ -32,6 +32,21 @@ class TestJobRequests:
         second = normalise({"job": "leaf", "params": {"value": 9}}, REGISTRY)
         assert first.names == second.names
 
+    def test_simulated_override_derives_its_points(self):
+        from repro.orchestrate.jobs import all_jobs
+
+        registry = all_jobs()
+        query = normalise({"job": "fig7-simulated",
+                           "params": {"t_m_values": [8], "seeds": 1}},
+                          registry)
+        (name,) = query.names
+        assert len(query.jobs[name].deps) == 3
+        assert all(dep in query.jobs for dep in query.jobs[name].deps)
+        # the inputs parameter of the assembling function is no param
+        with pytest.raises(ProtocolError, match="unknown parameters"):
+            normalise({"job": "fig7-simulated", "params": {"points": {}}},
+                      registry)
+
     def test_unknown_job_is_rejected(self):
         with pytest.raises(ProtocolError, match="unknown job"):
             normalise({"job": "nope"}, REGISTRY)

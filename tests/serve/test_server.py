@@ -338,6 +338,48 @@ class TestJobOverrides:
             assert "workers" in str(excinfo.value)
             assert client.stats()["computed"] == before["computed"]
 
+    def test_simulated_override_is_assembled_from_its_own_points(
+            self, tmp_path):
+        """An override of a canonical simulated figure derives its own
+        point jobs: three samples, then the figure built from them."""
+        from repro.experiments.simulated_figures import figure7_simulated
+        from repro.serve.app import jsonable
+
+        params = {"t_m_values": [8], "seeds": 1, "blocks": 1}
+        body = {"job": "fig7-simulated", "params": params}
+        with serve_in_thread(store=ResultStore(tmp_path / "cache"),
+                             workers=2) as handle:
+            client = ServeClient(port=handle.port)
+            (first,) = client.query(body)["results"]
+            assert first["status"] == "computed"
+            assert client.stats()["computed"] == 3 + 1
+            assert first["result"] == jsonable(figure7_simulated(**params))
+            (again,) = client.query(body)["results"]
+            assert again["status"] == "hit"
+            assert again["key"] == first["key"]
+
+    def test_simulated_override_with_bad_params_is_a_400(self, tmp_path):
+        """Every integer param of a simulated figure is checked before
+        the points are listed: a string or list would otherwise be
+        repeated by the arithmetic on it (``block * reuse * blocks``,
+        ``base_seed * 1_000_003``)."""
+        bad = ({"seeds": "two"}, {"seeds": 10 ** 9}, {"seeds": 0},
+               {"seeds": True}, {"blocks": "aaaa"}, {"blocks": [1, 2]},
+               {"reuse": "ab"}, {"base_seed": "x"}, {"base_seed": -1},
+               {"t_m": 2.5}, {"block_values": ["a"]}, {"block_values": 5})
+        with serve_in_thread(store=ResultStore(tmp_path / "cache"),
+                             workers=1) as handle:
+            client = ServeClient(port=handle.port)
+            for params in bad:
+                # one small block size, so a missing check cannot build
+                # a large repeated string before the test fails
+                with pytest.raises(ServeError) as excinfo:
+                    client.query({"job": "fig8-simulated",
+                                  "params": {"block_values": [4],
+                                             **params}})
+                assert excinfo.value.status == 400, params
+            assert client.stats()["computed"] == 0
+
 
 class TestShutdown:
     def test_graceful_drain(self, tmp_path):

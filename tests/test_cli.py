@@ -93,23 +93,49 @@ class TestCommands:
 
     def test_figures_simulated(self, capsys, monkeypatch, tmp_path):
         """--seeds and --base-seed override the registry job's params;
-        its other params stay."""
+        its other params stay, and the figure job is assembled from the
+        override's own point jobs."""
         from repro.experiments import simulated_figures
 
         seen = {}
-        real = simulated_figures.figure7_simulated
+        measured = []
+        figure = simulated_figures.figure7_simulated(
+            [8], block=64, reuse=2, seeds=1, blocks=1)
 
-        def tiny(**params):
+        def tiny_point(**point):
+            measured.append(point)
+            return 1.0
+
+        def tiny(points, /, **params):
             seen.update(params)
-            return real([8], block=64, reuse=2, seeds=1, blocks=1)
+            assert sorted(points.values()) == [1.0] * 30
+            return figure
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(simulated_figures, "figure7_simulated", tiny)
+        monkeypatch.setattr(simulated_figures, "measure_point", tiny_point)
+        monkeypatch.setattr(simulated_figures, "assemble_figure7", tiny)
         assert main(["figures", "--simulated", "fig7",
                      "--seeds", "2", "--workers", "1",
                      "--base-seed", "5"]) == 0
         assert seen == {"seeds": 2, "blocks": 4, "base_seed": 5}
+        # 5 t_m values x 3 machines x 2 seeds, each its own job
+        assert len(measured) == 30
+        assert {point["seed"] for point in measured} == {
+            5 * 1_000_003, 5 * 1_000_003 + 1}
+        assert {point["blocks"] for point in measured} == {4}
         assert "fig7" in capsys.readouterr().out
+
+    def test_figures_simulated_override_prints_its_own_figure(
+            self, capsys, monkeypatch, tmp_path):
+        """An override runs its own point jobs, and the figure they
+        assemble is the one the in-process function measures."""
+        from repro.experiments import figure7_simulated, render_figure
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["figures", "--simulated", "fig7", "--seeds", "1",
+                     "--workers", "2"]) == 0
+        expected = render_figure(figure7_simulated(seeds=1, blocks=4))
+        assert capsys.readouterr().out == expected + "\n\n"
 
     def test_figures_simulated_defaults_print_the_artifact(
             self, capsys, monkeypatch, tmp_path):
@@ -123,6 +149,12 @@ class TestCommands:
     def test_figures_simulated_unknown(self, capsys):
         assert main(["figures", "--simulated", "fig4"]) == 2
         assert "unknown simulated" in capsys.readouterr().out
+
+    def test_figures_simulated_refuses_zero_seeds(self, capsys, monkeypatch,
+                                                  tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["figures", "--simulated", "fig7", "--seeds", "0"]) == 2
+        assert "seeds must be in 1.." in capsys.readouterr().out
 
     def test_validate_small(self, capsys, monkeypatch, tmp_path):
         from repro.orchestrate import RESULTS_DIR
@@ -144,7 +176,8 @@ class TestCommands:
         expected = (RESULTS_DIR / "validation.txt").read_text()
         assert capsys.readouterr().out == expected
 
-    def test_report(self, capsys, tmp_path):
+    def test_report(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         out = tmp_path / "report.md"
         assert main(["report", str(out)]) == 0
         text = out.read_text()

@@ -13,7 +13,8 @@ class TestCatalogue:
         # collision exponent), an LRU that replays FIFO in every engine
         # (only the independent lru-stack witness sees it), an
         # off-by-one in the stack-distance test behind batched miss labels
-        # and a hierarchy kernel that forgets back-invalidation
+        # and a hierarchy kernel that forgets back-invalidation, and a
+        # set-associative class count that keeps stride 1
         assert set(MUTATIONS) == {
             "fold-modulus-off-by-one",
             "dropped-bank-busy-stall",
@@ -30,6 +31,7 @@ class TestCatalogue:
             "lru-refresh-dropped",
             "stack-capacity-off-by-one",
             "two-level-back-invalidation-dropped",
+            "assoc-class-count-shifted",
         }
 
     def test_expected_oracles_exist(self):
@@ -52,7 +54,7 @@ class TestSelfCheck:
 
     def test_patches_are_restored(self):
         from repro import kernels
-        from repro.analytical import congruence
+        from repro.analytical import batched, congruence
         from repro.cache.prime import PrimeMappedCache
 
         originals = (
@@ -60,16 +62,19 @@ class TestSelfCheck:
             PrimeMappedCache.lines_touched_by_stride,
             kernels.op_timing,
             congruence.solve_linear_congruence,
+            batched._assoc_class_axes,
         )
         run_selfcheck(seed=0, mode="quick",
                       mutations=["fold-modulus-off-by-one",
                                  "dropped-bank-busy-stall",
-                                 "congruence-lost-solutions"])
+                                 "congruence-lost-solutions",
+                                 "assoc-class-count-shifted"])
         assert originals == (
             PrimeMappedCache._map_sets_batch,
             PrimeMappedCache.lines_touched_by_stride,
             kernels.op_timing,
             congruence.solve_linear_congruence,
+            batched._assoc_class_axes,
         )
 
     def test_shared_lru_fault_needs_the_independent_witness(self):
